@@ -42,4 +42,4 @@ pub mod table5;
 pub mod tables;
 
 pub use fault::{EngineOptions, EngineReport, InjectedFault, RetryPolicy, RunError};
-pub use runner::{PolicyKind, RunOutcome, RunSpec, RunStats, Runner, SimSession};
+pub use runner::{PolicyKind, PrewarmStats, RunOutcome, RunSpec, RunStats, Runner, SimSession};

@@ -1,6 +1,7 @@
 //! Simulation runner: builds simulators from declarative specs, runs them
 //! (in parallel across OS threads, each worker owning one reusable
-//! [`SimSession`]) and caches single-thread baselines for the Hmean metric.
+//! [`SimSession`]), caches single-thread baselines for the Hmean metric
+//! and shares post-prewarm memory snapshots between runs of one workload.
 //!
 //! Every run executes inside its own **fault domain**: panics are caught
 //! per run ([`std::panic::catch_unwind`]), budgets bound runaway runs, and
@@ -13,6 +14,7 @@ use crate::chaos::ChaosPolicy;
 use crate::fault::{EngineOptions, EngineReport, InjectedFault, RunError};
 use dcra::{Dcra, DcraConfig, SharingConfig};
 use smt_isa::{PerResource, ThreadId};
+use smt_mem::{MemoryConfig, MemoryHierarchy};
 use smt_policies as pol;
 use smt_sim::policy::AnyPolicy;
 use smt_sim::watch::CommitWatchdog;
@@ -21,7 +23,7 @@ use smt_workloads::{spec, BenchmarkProfile, ScenarioMix, Workload};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Which policy to run. A declarative, `Clone`able stand-in for a built
 /// policy so run specs can be sent across threads.
@@ -346,18 +348,20 @@ impl SimSession {
     /// containment go through the [`Runner`] engine instead, which wraps
     /// each attempt in [`std::panic::catch_unwind`].
     pub fn run(&mut self, spec: &RunSpec) -> Result<RunStats, RunError> {
-        self.run_attempt(spec, 0, spec.budget.unwrap_or_default())
+        self.run_attempt(spec, 0, RunBudget::default(), &PrewarmCache::default())
     }
 
     /// One attempt of `spec`. `attempt` is 0-based and only consulted by
     /// injected faults (a transient fault stops panicking once
     /// `attempt >= fail_attempts`); `default_budget` applies when the spec
-    /// carries no budget of its own.
+    /// carries no budget of its own. The functional warm-up goes through
+    /// the `prewarm` snapshot cache.
     fn run_attempt(
         &mut self,
         spec: &RunSpec,
         attempt: u32,
         default_budget: RunBudget,
+        prewarm: &PrewarmCache,
     ) -> Result<RunStats, RunError> {
         spec.config
             .validate()
@@ -384,7 +388,7 @@ impl SimSession {
                 spec.seed,
             )),
         };
-        sim.prewarm(spec.prewarm_insts);
+        prewarm.prewarm(sim, spec, &profiles);
         let budget = spec.budget.unwrap_or(default_budget);
         if budget.is_unlimited() {
             sim.run_cycles(spec.warmup_cycles);
@@ -427,11 +431,12 @@ fn execute_with_retry(
     session: &mut SimSession,
     spec: &RunSpec,
     opts: &EngineOptions,
+    prewarm: &PrewarmCache,
 ) -> RunOutcome {
     let mut attempt = 0u32;
     loop {
         let result = catch_unwind(AssertUnwindSafe(|| {
-            session.run_attempt(spec, attempt, opts.budget)
+            session.run_attempt(spec, attempt, opts.budget, prewarm)
         }));
         attempt += 1;
         let error = match result {
@@ -476,7 +481,129 @@ struct BaselineKey {
     config: SimConfig,
 }
 
-/// Executes run specs and caches single-thread baseline IPCs.
+/// The baseline cache key of `bench` on `config` and the one-thread ICOUNT
+/// spec that measures it.
+fn baseline_spec(bench: &str, config: &SimConfig, lengths: &RunSpec) -> (BaselineKey, RunSpec) {
+    let mut single = config.clone();
+    single.threads = 1;
+    let mut spec = RunSpec::new(&[bench], PolicyKind::Icount);
+    spec.config = single.clone();
+    spec.prewarm_insts = lengths.prewarm_insts;
+    spec.warmup_cycles = lengths.warmup_cycles;
+    spec.measure_cycles = lengths.measure_cycles;
+    let key = BaselineKey {
+        bench: bench.to_string(),
+        config: single,
+    };
+    (key, spec)
+}
+
+/// Hit and store counts of a [`Runner`]'s prewarm snapshot cache.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PrewarmStats {
+    /// Runs whose functional warm-up was restored from a snapshot.
+    pub hits: usize,
+    /// Snapshots stored (one per key, on its second sighting).
+    pub stores: usize,
+}
+
+/// One workload key of the prewarm cache: everything the memory state
+/// after [`Simulator::prewarm`] is a function of. That is the memory
+/// configuration, the per-thread profiles (their count is the thread
+/// count), the run seed and the warm-up length. The policy and the rest of
+/// the machine configuration play no part.
+#[derive(Debug)]
+struct PrewarmEntry {
+    mem: MemoryConfig,
+    profiles: Vec<BenchmarkProfile>,
+    seed: u64,
+    insts: u64,
+    /// The post-prewarm hierarchy; `None` until the key's second sighting.
+    snapshot: Option<Arc<MemoryHierarchy>>,
+}
+
+impl PrewarmEntry {
+    fn matches(&self, spec: &RunSpec, profiles: &[&BenchmarkProfile]) -> bool {
+        self.seed == spec.seed
+            && self.insts == spec.prewarm_insts
+            && self.mem == spec.config.mem
+            && self.profiles.len() == profiles.len()
+            && self.profiles.iter().zip(profiles).all(|(a, b)| a == *b)
+    }
+}
+
+/// Runner-scoped cache of post-prewarm memory snapshots.
+///
+/// Functional warm-up does not depend on the policy, so a policy sweep
+/// repeats the same warm-up for every policy of a workload. Admission is
+/// on the *second sighting*: the first run of a key only records the key,
+/// the second stores its snapshot, and every later run restores it with
+/// [`Simulator::restore_prewarm`] instead of prewarming. Keys seen once
+/// (generated scenario mixes, baselines) therefore cost no snapshot
+/// memory. Lookups are a linear scan: a runner sees at most a few hundred
+/// keys, and each comparison usually fails on the seed or the first
+/// profile name.
+#[derive(Debug, Default)]
+struct PrewarmCache {
+    inner: Mutex<(Vec<PrewarmEntry>, PrewarmStats)>,
+}
+
+impl PrewarmCache {
+    /// Brings `sim`, freshly built or reset for `spec`, to its post-prewarm
+    /// state: restored from a snapshot on a hit, prewarmed otherwise.
+    fn prewarm(&self, sim: &mut Simulator, spec: &RunSpec, profiles: &[&BenchmarkProfile]) {
+        let lock = || self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let second_sighting = {
+            let mut guard = lock();
+            let (entries, stats) = &mut *guard;
+            match entries.iter().find(|e| e.matches(spec, profiles)) {
+                Some(PrewarmEntry {
+                    snapshot: Some(snapshot),
+                    ..
+                }) => {
+                    let snapshot = Arc::clone(snapshot);
+                    stats.hits += 1;
+                    drop(guard);
+                    sim.restore_prewarm(&snapshot);
+                    return;
+                }
+                Some(_) => true,
+                None => {
+                    entries.push(PrewarmEntry {
+                        mem: spec.config.mem.clone(),
+                        profiles: profiles.iter().map(|&p| p.clone()).collect(),
+                        seed: spec.seed,
+                        insts: spec.prewarm_insts,
+                        snapshot: None,
+                    });
+                    false
+                }
+            }
+        };
+        sim.prewarm(spec.prewarm_insts);
+        if second_sighting {
+            let snapshot = Arc::new(sim.memory().clone());
+            let mut guard = lock();
+            let (entries, stats) = &mut *guard;
+            // Another worker may have stored the same key meanwhile.
+            if let Some(entry) = entries
+                .iter_mut()
+                .find(|e| e.snapshot.is_none() && e.matches(spec, profiles))
+            {
+                entry.snapshot = Some(snapshot);
+                stats.stores += 1;
+            }
+        }
+    }
+
+    fn stats(&self) -> PrewarmStats {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner).1
+    }
+}
+
+/// Executes run specs, caches single-thread baseline IPCs and shares
+/// post-prewarm memory snapshots between runs of one workload (see
+/// [`Runner::prewarm_stats`]).
 ///
 /// # Examples
 ///
@@ -494,10 +621,11 @@ struct BaselineKey {
 #[derive(Debug, Default)]
 pub struct Runner {
     baselines: Mutex<HashMap<BaselineKey, f64>>,
+    prewarm: PrewarmCache,
 }
 
 impl Runner {
-    /// Creates a runner with an empty baseline cache.
+    /// Creates a runner with empty baseline and prewarm caches.
     pub fn new() -> Self {
         Runner::default()
     }
@@ -506,7 +634,14 @@ impl Runner {
     /// failures come back as [`RunError`]; panics propagate (use the
     /// worker-pool entry points for panic containment).
     pub fn run(&self, spec: &RunSpec) -> Result<RunStats, RunError> {
-        SimSession::new().run(spec)
+        SimSession::new().run_attempt(spec, 0, RunBudget::default(), &self.prewarm)
+    }
+
+    /// Hit and store counts of the prewarm snapshot cache so far. Every
+    /// run through this runner looks the cache up; results are
+    /// bit-identical whether it hits or not.
+    pub fn prewarm_stats(&self) -> PrewarmStats {
+        self.prewarm.stats()
     }
 
     /// Runs many specs on a pool of worker threads fed from a shared work
@@ -649,7 +784,8 @@ impl Runner {
                             if i >= admitted {
                                 break;
                             }
-                            let outcome = execute_with_retry(&mut session, &specs[i], opts);
+                            let outcome =
+                                execute_with_retry(&mut session, &specs[i], opts, &self.prewarm);
                             let counter = if outcome.is_completed() {
                                 &completed
                             } else {
@@ -716,12 +852,7 @@ impl Runner {
         config: &SimConfig,
         lengths: &RunSpec,
     ) -> Result<f64, RunError> {
-        let mut single = config.clone();
-        single.threads = 1;
-        let key = BaselineKey {
-            bench: bench.to_string(),
-            config: single.clone(),
-        };
+        let (key, spec) = baseline_spec(bench, config, lengths);
         if let Some(v) = self
             .baselines
             .lock()
@@ -730,17 +861,47 @@ impl Runner {
         {
             return Ok(*v);
         }
-        let mut spec = RunSpec::new(&[bench], PolicyKind::Icount);
-        spec.config = single;
-        spec.prewarm_insts = lengths.prewarm_insts;
-        spec.warmup_cycles = lengths.warmup_cycles;
-        spec.measure_cycles = lengths.measure_cycles;
         let ipc = self.run(&spec)?.throughput();
         self.baselines
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .insert(key, ipc);
         Ok(ipc)
+    }
+
+    /// Measures every uncached single-thread baseline of `workloads` in one
+    /// parallel engine batch and caches it, with the same keys and values
+    /// as [`Runner::single_ipc`]. Fails with the first failing baseline in
+    /// workload order, as measuring them one by one would.
+    pub(crate) fn measure_baselines(
+        &self,
+        workloads: &[Workload],
+        config: &SimConfig,
+        lengths: &RunSpec,
+    ) -> Result<(), RunError> {
+        let mut pending: Vec<(BaselineKey, RunSpec)> = Vec::new();
+        {
+            let cached = self
+                .baselines
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            for bench in workloads.iter().flat_map(|w| &w.benchmarks) {
+                let (key, spec) = baseline_spec(bench, config, lengths);
+                if !cached.contains_key(&key) && pending.iter().all(|(k, _)| *k != key) {
+                    pending.push((key, spec));
+                }
+            }
+        }
+        let specs: Vec<RunSpec> = pending.iter().map(|(_, s)| s.clone()).collect();
+        let outcomes = self.run_all_outcomes(&specs);
+        let mut cached = self
+            .baselines
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        for ((key, _), outcome) in pending.into_iter().zip(outcomes) {
+            cached.insert(key, outcome.into_stats()?.throughput());
+        }
+        Ok(())
     }
 
     /// Single-thread baselines for every benchmark of a workload.
@@ -959,7 +1120,7 @@ mod tests {
             ..EngineOptions::default()
         };
         let mut session = SimSession::new();
-        let outcome = execute_with_retry(&mut session, &spec, &opts);
+        let outcome = execute_with_retry(&mut session, &spec, &opts, &PrewarmCache::default());
         let (stats, attempts) = match outcome {
             RunOutcome::Completed { stats, attempts } => (stats, attempts),
             other => panic!("retry should complete, got {other:?}"),
@@ -984,6 +1145,7 @@ mod tests {
             &mut SimSession::new(),
             &spec,
             &EngineOptions::default(), // RetryPolicy::none()
+            &PrewarmCache::default(),
         );
         assert!(
             matches!(
@@ -1091,6 +1253,40 @@ mod tests {
         let b = r.single_ipc("gzip", &cfg, &lengths).expect("known bench");
         assert_eq!(a, b);
         assert!(a > 0.5);
+    }
+
+    #[test]
+    fn batched_baselines_equal_serial_ones() {
+        let lengths = tiny(&["gzip"], PolicyKind::Icount);
+        let cfg = SimConfig::baseline(2);
+        let workloads: Vec<Workload> = smt_workloads::table4_workloads()
+            .into_iter()
+            .filter(|w| w.threads() == 2)
+            .take(3)
+            .collect();
+        let batched = Runner::new();
+        batched
+            .measure_baselines(&workloads, &cfg, &lengths)
+            .expect("known benches");
+        let serial = Runner::new();
+        for w in &workloads {
+            let a = batched.single_ipcs(w, &cfg, &lengths).expect("cached");
+            let b = serial
+                .single_ipcs(w, &cfg, &lengths)
+                .expect("known benches");
+            assert_eq!(a, b, "{:?}", w.benchmarks);
+        }
+    }
+
+    #[test]
+    fn batched_baselines_report_unknown_benchmarks() {
+        let lengths = tiny(&["gzip"], PolicyKind::Icount);
+        let mut w = smt_workloads::table4_workloads().remove(0);
+        w.benchmarks[1] = "no-such-bench".into();
+        assert!(matches!(
+            Runner::new().measure_baselines(&[w], &SimConfig::baseline(2), &lengths),
+            Err(RunError::UnknownBenchmark { .. })
+        ));
     }
 
     #[test]

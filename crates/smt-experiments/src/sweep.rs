@@ -125,8 +125,10 @@ pub fn sweep_policy_threads(
         })
         .collect();
 
-    // Single-thread baselines first (cached across sweeps), so the
-    // streaming sink below stays cheap under its lock.
+    // Single-thread baselines first (cached across sweeps, the uncached
+    // ones measured in one parallel batch), so the streaming sink below
+    // stays cheap under its lock.
+    runner.measure_baselines(&workloads, config, lengths)?;
     let singles: Vec<Vec<f64>> = workloads
         .iter()
         .map(|w| runner.single_ipcs(w, config, lengths))

@@ -336,3 +336,129 @@ fn scenario_mix_session_reuse_matches_fresh_simulator() {
         assert_eq!(reused.result, fresh, "{}: session reuse drifted", mix.id);
     }
 }
+
+/// Tiny lengths for the prewarm-cache tests: long enough that the
+/// warm-up leaves fills in flight at cycle 0, short enough for CI.
+fn cache_spec(benches: &[&str], policy: PolicyKind) -> RunSpec {
+    let mut s = RunSpec::new(benches, policy);
+    s.prewarm_insts = 20_000;
+    s.warmup_cycles = 1_000;
+    s.measure_cycles = 6_000;
+    s
+}
+
+fn fresh_stats(spec: &RunSpec) -> smt_experiments::RunStats {
+    let mut clean = spec.clone();
+    clean.fault = None;
+    SimSession::new().run(&clean).expect("valid spec")
+}
+
+/// Prewarm snapshot cache: repeated policy-major sweeps over all nine
+/// policies on one shared `Runner`, at 1 and 2 workers, equal fresh
+/// one-shot sessions run for run (`SimResult` and per-thread memory
+/// statistics). One extra spec runs on a smaller ROB: the cache is keyed
+/// on the memory configuration only, so it shares the baseline machine's
+/// snapshot and must still be exact. Two more change only the seed or
+/// only the memory latency, so they must get keys of their own.
+#[test]
+fn prewarm_cache_hits_equal_fresh_sessions_for_all_policies() {
+    let workloads: [&[&str]; 2] = [&["gzip", "mcf"], &["art", "gcc", "twolf"]];
+    let mut specs: Vec<RunSpec> = canonical_policies()
+        .into_iter()
+        .flat_map(|p| workloads.iter().map(move |w| cache_spec(w, p.clone())))
+        .collect();
+    let mut small_rob = cache_spec(workloads[0], PolicyKind::Icount);
+    small_rob.config.rob_entries = 128;
+    let mut reseeded = cache_spec(workloads[0], PolicyKind::Icount);
+    reseeded.seed = 7;
+    let mut slow_memory = cache_spec(workloads[1], PolicyKind::Icount);
+    slow_memory.config.mem.memory_latency = 100;
+    specs.extend([small_rob, reseeded, slow_memory]);
+    let keys = workloads.len() + 2;
+    let fresh: Vec<_> = specs.iter().map(fresh_stats).collect();
+
+    let runner = Runner::new();
+    for (round, workers) in [1, 2, 1, 2].into_iter().enumerate() {
+        let outcomes = runner.run_all_with_workers(&specs, workers);
+        for ((spec, out), want) in specs.iter().zip(&outcomes).zip(&fresh) {
+            let got = out.stats().expect("run completed");
+            assert_eq!(
+                got, want,
+                "round {round} ({workers} workers): {} on {:?} drifted",
+                want.result.policy, spec.benches
+            );
+        }
+    }
+    // Each key prewarms on its first two sightings, storing its snapshot
+    // on the second; every later run of it restores the snapshot.
+    let stats = runner.prewarm_stats();
+    assert_eq!(stats.stores, keys);
+    assert_eq!(stats.hits, 4 * specs.len() - 2 * keys);
+}
+
+/// A chaos-injected panic in a run that restored a snapshot must not
+/// corrupt the snapshot: the runs after it still hit and stay
+/// bit-identical to fresh sessions.
+#[test]
+fn chaos_panic_after_a_restore_leaves_later_hits_exact() {
+    use smt_experiments::chaos::silence_chaos_panics;
+    use smt_experiments::{InjectedFault, RunError, RunOutcome};
+    silence_chaos_panics();
+
+    let clean = cache_spec(&["gzip", "mcf"], PolicyKind::dcra_for_latency(300));
+    let mut faulty = cache_spec(&["gzip", "mcf"], PolicyKind::FlushPlusPlus);
+    faulty.fault = Some(InjectedFault::PanicAtCycle {
+        at_cycle: 300,
+        fail_attempts: u32::MAX,
+    });
+    let after = cache_spec(&["gzip", "mcf"], PolicyKind::Icount);
+    let specs = vec![clean.clone(), clean.clone(), faulty, after.clone(), clean];
+
+    let runner = Runner::new();
+    let outcomes = runner.run_all_with_workers(&specs, 1);
+    assert!(
+        matches!(
+            &outcomes[2],
+            RunOutcome::Failed {
+                error: RunError::Panicked { .. },
+                ..
+            }
+        ),
+        "the faulty run must fail contained, got {:?}",
+        outcomes[2]
+    );
+    let stats = runner.prewarm_stats();
+    assert_eq!(stats.stores, 1, "second sighting stores the snapshot");
+    assert_eq!(stats.hits, 3, "the faulty run and both later runs hit");
+    for i in [0, 1, 3, 4] {
+        let got = outcomes[i].stats().expect("clean run completed");
+        assert_eq!(got, &fresh_stats(&specs[i]), "spec {i} drifted");
+    }
+}
+
+/// Specs whose workload key never repeats — generated scenario mixes, each
+/// with its own profiles and seed — cost no snapshot memory.
+#[test]
+fn single_use_specs_store_no_prewarm_snapshot() {
+    use smt_workloads::{FamilySpec, PolicyTarget, ScenarioFamily};
+    let family =
+        ScenarioFamily::generate(&FamilySpec::adversarial(PolicyTarget::Dcra, 4), SEED).unwrap();
+    let specs: Vec<RunSpec> = family
+        .mixes()
+        .iter()
+        .map(|mix| {
+            let mut s = RunSpec::for_mix(mix, PolicyKind::Icount);
+            s.prewarm_insts = 5_000;
+            s.warmup_cycles = 500;
+            s.measure_cycles = 2_000;
+            s
+        })
+        .collect();
+    let runner = Runner::new();
+    let outcomes = runner.run_all_with_workers(&specs, 2);
+    assert!(outcomes.iter().all(|o| o.is_completed()));
+    assert_eq!(
+        runner.prewarm_stats(),
+        smt_experiments::PrewarmStats { hits: 0, stores: 0 }
+    );
+}

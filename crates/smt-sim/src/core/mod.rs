@@ -147,10 +147,8 @@ impl std::fmt::Debug for Simulator {
 }
 
 /// Derives the per-thread trace seed from the run seed and the thread
-/// slot. The single definition is what makes [`Simulator::reset`]'s
-/// workload key match [`Simulator::new`]'s — the trace store reuses its
-/// retained blocks across a reset exactly when (profile, seed, slot) all
-/// compare equal, so `new` and `reset` must derive seeds identically.
+/// slot. The single definition keeps [`Simulator::reset`] bit-identical to
+/// [`Simulator::new`]: both must derive seeds identically.
 fn thread_seed(seed: u64, slot: usize) -> u64 {
     seed.wrapping_mul(0x9e37_79b9).wrapping_add(slot as u64)
 }
@@ -221,9 +219,7 @@ impl Simulator {
     }
 
     /// Re-initialises the simulator in place for a fresh run on the same
-    /// machine configuration: rebound trace stores (which *reuse* their
-    /// pre-generated blocks when the workload key is unchanged — the
-    /// policy-sweep case), a new policy, cold
+    /// machine configuration: rebound trace stores, a new policy, cold
     /// caches/predictors, zeroed counters and an empty window — exactly the
     /// state [`Simulator::new`] would produce, but with every long-lived
     /// allocation (instruction windows, cache tag arrays, event wheel,
@@ -287,17 +283,6 @@ impl Simulator {
         &self.mem
     }
 
-    /// Raw cache statistics `(il1, dl1, l2)` of the hierarchy.
-    pub fn cache_stats_helper(
-        &self,
-    ) -> (
-        smt_mem::CacheStats,
-        smt_mem::CacheStats,
-        smt_mem::CacheStats,
-    ) {
-        self.mem.cache_stats()
-    }
-
     /// The branch predictor (for misprediction statistics).
     pub fn predictor(&self) -> &BranchPredictor {
         &self.bpred
@@ -344,6 +329,18 @@ impl Simulator {
             }
         }
         self.mem.reset_stats();
+    }
+
+    /// Restores the memory hierarchy to `snapshot`, a copy of
+    /// [`Self::memory`] taken right after [`Self::prewarm`] on a simulator
+    /// with the same memory configuration, thread count, profiles, seed
+    /// and warm-up length. Call it in place of `prewarm` on a freshly
+    /// built or reset simulator: prewarm touches nothing but the memory
+    /// hierarchy (caches, TLBs and the fills still in flight at cycle 0),
+    /// so the restored machine is bit-identical to a prewarmed one.
+    pub fn restore_prewarm(&mut self, snapshot: &MemoryHierarchy) {
+        debug_assert_eq!(self.mem.config(), snapshot.config());
+        self.mem.clone_from(snapshot);
     }
 
     /// Runs `n` cycles, fast-forwarding through spans where every thread
@@ -455,12 +452,6 @@ impl Simulator {
         }
     }
 
-    /// Public alias of [`Self::step`] for instrumentation binaries.
-    #[doc(hidden)]
-    pub fn step_public(&mut self) {
-        self.step();
-    }
-
     /// Advances the machine one cycle. Steady-state allocation-free: the
     /// policy view, fetch order, ready lists and MLP sample buffer are all
     /// long-lived buffers reused across cycles.
@@ -506,21 +497,6 @@ impl Simulator {
     /// [`crate::watch::OccupancyRecorder`].
     pub fn thread_usage(&self, t: ThreadId) -> PerResource<u32> {
         self.usage[t.index()]
-    }
-
-    /// Debug snapshot of why a thread may be unable to fetch:
-    /// `(blocked_on_branch, icache_stalled, stalled_on_load, fetch_queue_len)`.
-    #[doc(hidden)]
-    pub fn thread_fetch_state(&self, t: ThreadId) -> (bool, bool, bool, usize) {
-        let th = &self.threads[t.index()];
-        (
-            false, // fetch no longer blocks on unresolved branches
-            th.icache_stall_until > self.now,
-            th.stall_on_load
-                .map(|l| th.get(l).is_some() && th.stage_of(l) != crate::inst::Stage::Done)
-                .unwrap_or(false),
-            th.fetch_queue_len(),
-        )
     }
 
     /// `true` while the given thread's trace reports a memory phase

@@ -39,7 +39,7 @@ pub(crate) struct Waiter {
 #[derive(Debug)]
 pub(crate) struct ThreadState {
     /// Block-buffered replayable trace: packed records pre-generated off
-    /// the fetch critical path, retained across same-workload resets.
+    /// the fetch critical path.
     trace: ThreadTrace,
     /// Next sequence number to fetch (rewinds on squash). The in-flight
     /// window spans `[win_base, next_fetch)`.
@@ -104,9 +104,8 @@ impl ThreadState {
 
     /// Re-initialises the thread for a fresh run, keeping the ring and
     /// waiter-pool allocations. The trace store rebinds to the given
-    /// workload key and *reuses* its retained blocks when the key is
-    /// unchanged (the sweep case: nine policies replaying one workload
-    /// regenerate nothing). State after the call is indistinguishable from
+    /// workload key and restarts its stream. State after the call is
+    /// indistinguishable from
     /// [`ThreadState::new`] over a fresh store with the same key (stale
     /// ring slots are unreachable: every lookup is bounds-guarded by
     /// `[base, tip)`, and slots are always written before re-entering the

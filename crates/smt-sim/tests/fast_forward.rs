@@ -44,7 +44,7 @@ fn digest(sim: &Simulator) -> (SimResult, u64, String) {
         sim.now(),
         format!(
             "{:?} {:?}",
-            sim.cache_stats_helper(),
+            sim.memory().cache_stats(),
             sim.predictor().stats()
         ),
     )

@@ -63,5 +63,5 @@ pub use profile::{
     BenchmarkProfile, BenchmarkProfileBuilder, BranchBehavior, InstMix, MemBehavior, PhaseBehavior,
     ProfileError, Suite,
 };
-pub use store::{ThreadTrace, TraceRecord, MAX_PREFIX_BLOCKS, TRACE_BLOCK};
+pub use store::{ThreadTrace, TraceRecord, TRACE_BLOCK};
 pub use workload::{table4_workloads, workloads_of, Workload, WorkloadType};

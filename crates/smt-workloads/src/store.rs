@@ -3,24 +3,19 @@
 //! [`TraceGenerator`] expands a profile into an infinite stream one
 //! instruction at a time. The simulator's fetch stage used to invoke it
 //! *inline*, on the critical path, once per fetched instruction, and threw
-//! the decoded records away at commit — so a nine-policy sweep over the
-//! same workload regenerated the identical stream nine times.
+//! the decoded records away at commit.
 //!
 //! [`ThreadTrace`] moves generation off the critical path and makes the
-//! stream replayable:
+//! recent stream replayable:
 //!
 //! * instructions are pre-generated in **blocks** of [`TRACE_BLOCK`]
 //!   records, packed into 16-byte [`PackedInst`]s with the cold
 //!   [`MemAccess`]/[`BranchInfo`] payloads in per-block sidecar
 //!   struct-of-arrays lanes,
-//! * a persistent **prefix** of up to [`MAX_PREFIX_BLOCKS`] blocks is kept
-//!   across [`ThreadTrace::rebind`] calls: when the next run uses the same
-//!   (profile, seed, slot), its blocks are *reused*, not regenerated —
-//!   which is exactly the sweep case (nine policies over one workload),
-//! * past the prefix cap the stream continues through a small **ring** of
-//!   tail blocks sized to the caller's maximum lookback, regenerated from
-//!   a generator snapshot frozen at the cap boundary, so memory stays
-//!   bounded on arbitrarily long runs.
+//! * blocks live in a small **ring** sized to the caller's maximum
+//!   lookback, so the squash path can re-read recent sequence numbers
+//!   while memory stays bounded on arbitrarily long runs and a handful of
+//!   cache-hot block buffers are recycled for the whole run.
 //!
 //! The store is bit-exact: replayed records unpack to precisely what
 //! [`TraceGenerator::next_inst`] streams, and the per-instruction
@@ -34,17 +29,6 @@ use smt_isa::{BranchInfo, MemAccess, PackedInst};
 /// Instructions per trace block. A power of two so seq→block arithmetic
 /// is a shift and the in-block offset a mask.
 pub const TRACE_BLOCK: usize = 256;
-
-/// Upper bound of persistently retained blocks per thread (2¹⁰ blocks =
-/// 262 144 instructions). Blocks are allocated on demand, so short runs
-/// pay only for what they touch. The cap is deliberately *small*: it
-/// covers the fetch frontier of sweep-length runs (the reuse case), while
-/// longer single runs cross into the tail ring and recycle a handful of
-/// cache-hot block buffers instead of growing cold freshly-allocated
-/// memory for the rest of the run — a continuous multi-100k-cycle run
-/// with an unbounded prefix measured several percent *slower* than the
-/// recycling ring.
-pub const MAX_PREFIX_BLOCKS: usize = 1_024;
 
 const BLOCK_SHIFT: u32 = TRACE_BLOCK.trailing_zeros();
 const BLOCK_MASK: u64 = TRACE_BLOCK as u64 - 1;
@@ -145,31 +129,19 @@ impl TraceRecord {
 /// for seq in 0..1000 {
 ///     assert_eq!(store.record(seq).unpack(), stream.next_inst());
 /// }
-/// // Rebinding to the same workload replays the retained blocks.
-/// assert!(store.rebind(p, 7, 0));
-/// assert_eq!(store.record(0).unpack().pc, {
-///     TraceGenerator::new(p, 7, 0).next_inst().pc
-/// });
+/// // Rebinding restarts the stream from sequence 0.
+/// store.rebind(p, 7, 0);
+/// assert_eq!(store.record(0).unpack(), TraceGenerator::new(p, 7, 0).next_inst());
 /// ```
 #[derive(Debug)]
 pub struct ThreadTrace {
-    profile: BenchmarkProfile,
-    seed: u64,
-    slot: u64,
-    /// Generator positioned exactly at the prefix frontier
-    /// (`prefix.len() * TRACE_BLOCK` instructions generated). Frozen at
-    /// the cap once the prefix is full; the tail clones it from there.
-    prefix_gen: TraceGenerator,
-    /// Persistently retained blocks `0..prefix.len()`, grown on demand and
-    /// kept across same-key rebinds.
-    prefix: Vec<TraceBlock>,
-    /// Ring of tail blocks past the prefix cap, overlaid by block index.
+    /// Generator positioned exactly at the generation frontier
+    /// (`next_block * TRACE_BLOCK` instructions generated).
+    gen: TraceGenerator,
+    /// Ring of the most recent blocks, overlaid by block index.
     ring: Vec<TraceBlock>,
-    /// Tail generator, cloned from the frozen `prefix_gen` when the
-    /// current run first crosses the cap; dropped on rebind.
-    tail_gen: Option<TraceGenerator>,
-    /// Next tail block index (≥ [`MAX_PREFIX_BLOCKS`]) to generate.
-    tail_next_block: u64,
+    /// Next block index to generate.
+    next_block: u64,
     /// One past the newest sequence number served to the current run —
     /// the generation frontier the pre-store lazy path exposed, tracked
     /// for [`ThreadTrace::in_memory_phase`].
@@ -191,54 +163,34 @@ impl ThreadTrace {
         let gen = TraceGenerator::new(profile, seed, slot);
         let ring_len = (max_lookback >> BLOCK_SHIFT) as usize + 2;
         ThreadTrace {
-            profile: profile.clone(),
-            seed,
-            slot,
             initial_mem_phase: gen.in_memory_phase(),
-            prefix_gen: gen,
-            prefix: Vec::new(),
+            gen,
             ring: vec![TraceBlock::default(); ring_len],
-            tail_gen: None,
-            tail_next_block: MAX_PREFIX_BLOCKS as u64,
+            next_block: 0,
             requested_tip: 0,
         }
     }
 
-    /// Rebinds the store for a fresh run. When the workload key
-    /// (profile, seed, slot) is unchanged the retained prefix blocks are
-    /// *reused* — the sweep case: nine policies replay one workload —
-    /// and the call returns `true`. Otherwise the store restarts from a
-    /// fresh generator (retained blocks are discarded) and returns
-    /// `false`. Either way the replay position rewinds to sequence 0.
-    pub fn rebind(&mut self, profile: &BenchmarkProfile, seed: u64, slot: u64) -> bool {
-        let reused = self.seed == seed && self.slot == slot && self.profile == *profile;
-        if !reused {
-            let gen = TraceGenerator::new(profile, seed, slot);
-            self.profile = profile.clone();
-            self.seed = seed;
-            self.slot = slot;
-            self.initial_mem_phase = gen.in_memory_phase();
-            self.prefix_gen = gen;
-            self.prefix.clear();
-        }
-        // Tail blocks always regenerate (their ring slots are overwritten
-        // before first use: any past-cap read first advances
-        // `tail_next_block` from the cap).
-        self.tail_gen = None;
-        self.tail_next_block = MAX_PREFIX_BLOCKS as u64;
+    /// Rebinds the store for a fresh run of (profile, seed, slot): the
+    /// stream restarts from a fresh generator at sequence 0, keeping the
+    /// ring's block allocations. Stale ring slots are unreachable: every
+    /// read at or past the rewound frontier regenerates its block first.
+    pub fn rebind(&mut self, profile: &BenchmarkProfile, seed: u64, slot: u64) {
+        self.gen = TraceGenerator::new(profile, seed, slot);
+        self.initial_mem_phase = self.gen.in_memory_phase();
+        self.next_block = 0;
         self.requested_tip = 0;
-        reused
     }
 
     /// The profile driving this trace.
     pub fn profile(&self) -> &BenchmarkProfile {
-        &self.profile
+        self.gen.profile()
     }
 
     /// A decorrelated generator twin over the same regions (functional
     /// cache warm-up; see [`TraceGenerator::decorrelated`]).
     pub fn decorrelated(&self, salt: u64) -> TraceGenerator {
-        self.prefix_gen.decorrelated(salt)
+        self.gen.decorrelated(salt)
     }
 
     /// `true` while the generation frontier of the *served* stream sits in
@@ -325,53 +277,28 @@ impl ThreadTrace {
     /// Resident block `b`, generating forward to materialise it if needed.
     #[inline]
     fn block(&mut self, b: u64) -> &TraceBlock {
-        if b < MAX_PREFIX_BLOCKS as u64 {
-            while self.prefix.len() as u64 <= b {
-                let base = (self.prefix.len() as u64) << BLOCK_SHIFT;
-                let mut blk = TraceBlock::default();
-                blk.fill(&mut self.prefix_gen, base);
-                self.prefix.push(blk);
-            }
-            &self.prefix[b as usize]
-        } else {
-            while self.tail_next_block <= b {
-                // The prefix is necessarily full here (reads are within
-                // `max_lookback` of the monotone frontier, which crossed
-                // the cap), so `prefix_gen` is frozen at the cap.
-                debug_assert_eq!(self.prefix.len(), MAX_PREFIX_BLOCKS);
-                let tail = self.tail_gen.get_or_insert_with(|| self.prefix_gen.clone());
-                let idx = self.tail_next_block;
-                let slot = (idx % self.ring.len() as u64) as usize;
-                self.ring[slot].fill(tail, idx << BLOCK_SHIFT);
-                self.tail_next_block += 1;
-            }
-            self.ring_ref(b)
+        while self.next_block <= b {
+            let idx = self.next_block;
+            let slot = (idx % self.ring.len() as u64) as usize;
+            self.ring[slot].fill(&mut self.gen, idx << BLOCK_SHIFT);
+            self.next_block += 1;
         }
+        self.block_ref(b)
     }
 
     /// Resident block `b` without generating (the block must already be
     /// materialised — used by phase queries on the served frontier).
     #[inline]
     fn block_ref(&self, b: u64) -> &TraceBlock {
-        if b < MAX_PREFIX_BLOCKS as u64 {
-            &self.prefix[b as usize]
-        } else {
-            self.ring_ref(b)
-        }
-    }
-
-    #[inline]
-    fn ring_ref(&self, b: u64) -> &TraceBlock {
         let blk = &self.ring[(b % self.ring.len() as u64) as usize];
         debug_assert_eq!(
             blk.base_seq,
             b << BLOCK_SHIFT,
-            "tail block evicted: read outside the declared max_lookback"
+            "block evicted: read outside the declared max_lookback"
         );
         blk
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,26 +326,24 @@ mod tests {
     }
 
     #[test]
-    fn tail_ring_continues_past_the_prefix_cap() {
+    fn ring_recycles_blocks_over_long_streams() {
         let p = gzip();
-        let cap = (MAX_PREFIX_BLOCKS * TRACE_BLOCK) as u64;
-        let total = cap + 3 * TRACE_BLOCK as u64 + 17;
         let mut store = ThreadTrace::new(p, 11, 0, 512);
+        let total = (store.ring.len() * 40 * TRACE_BLOCK) as u64 + 17;
         let mut gen = TraceGenerator::new(p, 11, 0);
         for seq in 0..total {
             assert_eq!(store.record(seq).unpack(), gen.next_inst(), "seq {seq}");
-            if seq > cap && seq % 173 == 0 {
-                // Lookback re-reads across and past the cap boundary stay
+            if seq > 600 && seq % 173 == 0 {
+                // Lookback re-reads across recycled ring slots stay
                 // bit-identical while within the declared window.
-                let back = seq - 100;
+                let back = seq - 500;
                 let a = store.record(back);
                 let b = store.record(back);
                 assert_eq!(a, b, "lookback at seq {back}");
             }
         }
-        // A same-key rebind replays the retained prefix and regenerates
-        // the tail identically.
-        assert!(store.rebind(p, 11, 0), "same key must reuse");
+        // A rebind replays the whole stream identically.
+        store.rebind(p, 11, 0);
         let mut gen2 = TraceGenerator::new(p, 11, 0);
         for seq in 0..total {
             assert_eq!(
@@ -430,11 +355,11 @@ mod tests {
     }
 
     #[test]
-    fn same_key_rebind_reuses_blocks_and_replays() {
+    fn same_key_rebind_replays_identically() {
         let p = gzip();
         let mut store = ThreadTrace::new(p, 7, 1, 512);
         let first: Vec<_> = (0..2_000).map(|s| store.record(s).unpack()).collect();
-        assert!(store.rebind(p, 7, 1), "same key must reuse");
+        store.rebind(p, 7, 1);
         let second: Vec<_> = (0..2_000).map(|s| store.record(s).unpack()).collect();
         assert_eq!(first, second);
     }
@@ -444,7 +369,7 @@ mod tests {
         let p = gzip();
         let mut store = ThreadTrace::new(p, 1, 0, 512);
         let a: Vec<_> = (0..1_000).map(|s| store.record(s).unpack()).collect();
-        assert!(!store.rebind(p, 2, 0), "changed seed must not reuse");
+        store.rebind(p, 2, 0);
         let b: Vec<_> = (0..1_000).map(|s| store.record(s).unpack()).collect();
         assert_ne!(a, b, "different seeds must diverge");
         let mut gen = TraceGenerator::new(p, 2, 0);
