@@ -1,12 +1,15 @@
 //! Micro-benchmarks of the simulator substrates: caches, branch
-//! prediction, trace generation and the DCRA sharing model.
+//! prediction, trace generation, functional prewarm and the DCRA sharing
+//! model.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dcra::{slow_share, SharingFactor};
 use smt_bpred::{BranchPredictor, PredictorConfig};
 use smt_isa::{BranchKind, ThreadId};
 use smt_mem::{MemoryConfig, MemoryHierarchy};
-use smt_workloads::{spec, TraceGenerator};
+use smt_sim::policy::RoundRobin;
+use smt_sim::{SimConfig, Simulator};
+use smt_workloads::{spec, workloads_of, TraceGenerator, WorkloadType};
 
 fn bench_cache(c: &mut Criterion) {
     c.bench_function("mem/dl1_hit", |b| {
@@ -60,6 +63,26 @@ fn bench_generator(c: &mut Criterion) {
     }
 }
 
+/// Functional warm-up of a 4-thread Table-4 MIX workload at 130k
+/// instructions per thread (perfbench's `fig5` length): trace generation
+/// plus cache and TLB accesses, the per-run cost a prewarm snapshot hit
+/// saves.
+fn bench_prewarm(c: &mut Criterion) {
+    let workload = workloads_of(WorkloadType::Mix, 4)
+        .into_iter()
+        .next()
+        .expect("Table 4 has 4-thread MIX workloads");
+    let profiles: Vec<_> = workload
+        .benchmarks
+        .iter()
+        .map(|b| spec::profile(b).expect("registry benchmark"))
+        .collect();
+    c.bench_function("sim/prewarm_4t_130k", |b| {
+        let mut sim = Simulator::new(SimConfig::baseline(4), &profiles, RoundRobin::default(), 42);
+        b.iter(|| sim.prewarm(black_box(130_000)));
+    });
+}
+
 fn bench_sharing_model(c: &mut Criterion) {
     c.bench_function("dcra/slow_share", |b| {
         b.iter(|| {
@@ -84,6 +107,7 @@ criterion_group!(
     bench_cache,
     bench_bpred,
     bench_generator,
+    bench_prewarm,
     bench_sharing_model
 );
 criterion_main!(benches);

@@ -16,7 +16,7 @@ use crate::tables::{f3, TextTable};
 use dcra::{DcraConfig, DcraDc, DegenerateConfig, SharingConfig, SharingFactor};
 use smt_metrics::hmean;
 use smt_sim::policy::AnyPolicy;
-use smt_sim::Simulator;
+use smt_sim::{SimConfig, Simulator};
 use smt_workloads::{spec, workloads_of, Workload, WorkloadType};
 
 /// The MIX workloads used for the ablations (where DCRA's choices matter
@@ -109,32 +109,39 @@ pub fn run(runner: &Runner, measure_cycles: u64) -> Result<Vec<AblationRow>, Run
         s.measure_cycles = measure_cycles;
         s
     };
+    // Every single-thread baseline up front, in one parallel engine batch.
+    // Baselines are keyed on the one-thread machine, which every
+    // workload's `SimConfig::baseline` reduces to.
+    runner.measure_baselines(&workloads, &SimConfig::baseline(1), &lengths)?;
+    let mut inputs = Vec::new();
+    for w in &workloads {
+        let profiles = w
+            .benchmarks
+            .iter()
+            .map(|b| {
+                spec::profile(b).ok_or_else(|| RunError::UnknownBenchmark { bench: b.clone() })
+            })
+            .collect::<Result<Vec<_>, RunError>>()?;
+        let config = SimConfig::baseline(w.threads());
+        let singles = runner.single_ipcs(w, &config, &lengths)?;
+        inputs.push((config, profiles, singles));
+    }
     let mut rows = Vec::new();
     for variant in variants() {
         let mut tput = 0.0;
         let mut hm = 0.0;
-        for w in &workloads {
-            let profiles = w
-                .benchmarks
-                .iter()
-                .map(|b| {
-                    spec::profile(b).ok_or_else(|| RunError::UnknownBenchmark { bench: b.clone() })
-                })
-                .collect::<Result<Vec<_>, RunError>>()?;
-            let mut sim = Simulator::new(
-                smt_sim::SimConfig::baseline(w.threads()),
-                &profiles,
-                (variant.build)(),
-                42,
-            );
+        for (config, profiles, singles) in &inputs {
+            let mut sim = Simulator::try_new(config.clone(), profiles, (variant.build)(), 42)
+                .map_err(|e| RunError::InvalidSpec {
+                    message: e.to_string(),
+                })?;
             sim.prewarm(400_000);
             sim.run_cycles(30_000);
             sim.reset_stats();
             sim.run_cycles(measure_cycles);
             let r = sim.result();
-            let singles = runner.single_ipcs(w, sim.config(), &lengths)?;
             tput += r.throughput();
-            hm += hmean(&r.ipcs(), &singles);
+            hm += hmean(&r.ipcs(), singles);
         }
         let n = workloads.len() as f64;
         rows.push(AblationRow {

@@ -26,9 +26,9 @@ pub enum RunError {
         /// The unresolvable benchmark name.
         bench: String,
     },
-    /// The spec's machine configuration failed
-    /// [`SimConfig::validate`](smt_sim::SimConfig::validate), or its
-    /// profile overrides did not cover every thread.
+    /// The spec's machine configuration or profiles could not build a
+    /// simulator ([`BuildError`](smt_sim::BuildError)), or its profile
+    /// overrides did not cover every thread.
     InvalidSpec {
         /// The validation message.
         message: String,

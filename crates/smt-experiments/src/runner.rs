@@ -202,7 +202,14 @@ impl RunSpec {
                         ),
                     });
                 }
-                Ok(overrides.iter().collect())
+                overrides
+                    .iter()
+                    .map(|p| {
+                        p.validate().map(|()| p).map_err(|e| RunError::InvalidSpec {
+                            message: e.to_string(),
+                        })
+                    })
+                    .collect()
             }
             None => self
                 .benches
@@ -342,8 +349,10 @@ impl SimSession {
     /// Unknown benchmarks, invalid machine configurations
     /// ([`SimConfig::validate`] — a hard check that holds in release
     /// builds, so e.g. a >8-thread config from a deserialized sweep file
-    /// fails loudly here instead of corrupting issue ordering downstream)
-    /// and budget breaches come back as typed [`RunError`]s. Panics from
+    /// fails loudly here instead of corrupting issue ordering downstream),
+    /// invalid profile overrides, thread-count mismatches (through
+    /// [`Simulator::try_new`]) and budget breaches come back as typed
+    /// [`RunError`]s. Panics from
     /// policy or simulator code propagate — one-shot callers that need
     /// containment go through the [`Runner`] engine instead, which wraps
     /// each attempt in [`std::panic::catch_unwind`].
@@ -363,9 +372,6 @@ impl SimSession {
         default_budget: RunBudget,
         prewarm: &PrewarmCache,
     ) -> Result<RunStats, RunError> {
-        spec.config
-            .validate()
-            .map_err(|e| RunError::InvalidSpec { message: e })?;
         let profiles = spec.profiles()?;
         let policy = match spec.fault {
             Some(InjectedFault::PanicAtCycle {
@@ -377,16 +383,17 @@ impl SimSession {
             _ => spec.policy.build(),
         };
         let sim = match &mut self.sim {
-            Some(sim) if sim.config() == &spec.config => {
+            Some(sim) if sim.config() == &spec.config && profiles.len() == spec.config.threads => {
                 sim.reset(&profiles, policy, spec.seed);
                 sim
             }
-            slot => slot.insert(Simulator::new(
-                spec.config.clone(),
-                &profiles,
-                policy,
-                spec.seed,
-            )),
+            slot => slot.insert(
+                Simulator::try_new(spec.config.clone(), &profiles, policy, spec.seed).map_err(
+                    |e| RunError::InvalidSpec {
+                        message: e.to_string(),
+                    },
+                )?,
+            ),
         };
         prewarm.prewarm(sim, spec, &profiles);
         let budget = spec.budget.unwrap_or(default_budget);
@@ -995,6 +1002,26 @@ mod tests {
             SimSession::new().run(&spec),
             Err(RunError::InvalidSpec { .. })
         ));
+    }
+
+    #[test]
+    fn session_rejects_invalid_profiles_and_thread_counts() {
+        // The session holds a simulator for this machine after the first
+        // run, so the bad inputs after it take the reset path.
+        let mut run = tiny(&["gzip", "mcf"], PolicyKind::Icount);
+        let mut session = SimSession::new();
+        session.run(&run).expect("valid spec");
+        let mut bad = spec::profile("mcf").unwrap().clone();
+        bad.dep_mean = 0.5;
+        run.profile_overrides = Some(vec![spec::profile("gzip").unwrap().clone(), bad]);
+        let invalid =
+            |r: Result<RunStats, RunError>| matches!(r, Err(RunError::InvalidSpec { .. }));
+        assert!(invalid(session.run(&run)));
+        let mut three = tiny(&["gzip", "mcf", "art"], PolicyKind::Icount);
+        three.config = run.config.clone();
+        assert!(invalid(session.run(&three)));
+        // A fresh session builds through `Simulator::try_new`.
+        assert!(invalid(SimSession::new().run(&three)));
     }
 
     #[test]

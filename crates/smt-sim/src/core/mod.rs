@@ -44,9 +44,46 @@ use events::{EventWheel, ReadyEntry};
 use smt_bpred::BranchPredictor;
 use smt_isa::{InstClass, PerResource, ThreadId};
 use smt_mem::MemoryHierarchy;
-use smt_workloads::{BenchmarkProfile, ThreadTrace};
+use smt_workloads::{BenchmarkProfile, ProfileError, ThreadTrace};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::fmt;
+
+/// Why [`Simulator::try_new`] refused to build a simulator.
+#[derive(Debug, Clone, PartialEq)]
+pub enum BuildError {
+    /// The configuration failed [`SimConfig::validate`].
+    Config(String),
+    /// The number of profiles differs from `config.threads`.
+    ThreadCount {
+        /// Hardware threads in the configuration.
+        threads: usize,
+        /// Profiles supplied.
+        profiles: usize,
+    },
+    /// A thread's profile failed [`BenchmarkProfile::validate`].
+    Profile {
+        /// The thread slot the profile was given for.
+        thread: usize,
+        /// The validation failure.
+        error: ProfileError,
+    },
+}
+
+impl fmt::Display for BuildError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BuildError::Config(m) => write!(f, "invalid simulator configuration: {m}"),
+            BuildError::ThreadCount { threads, profiles } => write!(
+                f,
+                "need exactly one benchmark per hardware thread: {profiles} for {threads} threads"
+            ),
+            BuildError::Profile { thread, error } => write!(f, "thread {thread}: {error}"),
+        }
+    }
+}
+
+impl std::error::Error for BuildError {}
 
 /// The cycle-level SMT processor simulator.
 ///
@@ -158,20 +195,39 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Panics if `profiles.len() != config.threads` or the configuration is
-    /// invalid.
+    /// Panics where [`Simulator::try_new`] returns an error.
     pub fn new(
         config: SimConfig,
         profiles: &[&BenchmarkProfile],
         policy: impl Into<AnyPolicy>,
         seed: u64,
     ) -> Self {
-        config.validate().expect("invalid simulator configuration");
-        assert_eq!(
-            profiles.len(),
-            config.threads,
-            "need exactly one benchmark per hardware thread"
-        );
+        Self::try_new(config, profiles, policy, seed).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds a simulator running one thread per profile under `policy`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`BuildError`] if the configuration is invalid,
+    /// `profiles.len() != config.threads`, or a profile is invalid.
+    pub fn try_new(
+        config: SimConfig,
+        profiles: &[&BenchmarkProfile],
+        policy: impl Into<AnyPolicy>,
+        seed: u64,
+    ) -> Result<Self, BuildError> {
+        config.validate().map_err(BuildError::Config)?;
+        if profiles.len() != config.threads {
+            return Err(BuildError::ThreadCount {
+                threads: config.threads,
+                profiles: profiles.len(),
+            });
+        }
+        for (thread, p) in profiles.iter().enumerate() {
+            p.validate()
+                .map_err(|error| BuildError::Profile { thread, error })?;
+        }
         let window_span = (config.rob_entries + config.fetch_queue) as usize;
         let threads: Vec<ThreadState> = profiles
             .iter()
@@ -185,7 +241,7 @@ impl Simulator {
             .collect();
         let n = threads.len();
         let totals = config.resource_totals();
-        Simulator {
+        Ok(Simulator {
             bpred: BranchPredictor::new(&config.bpred, n),
             mem: MemoryHierarchy::new(&config.mem, n),
             threads,
@@ -215,7 +271,7 @@ impl Simulator {
             mlp_scratch: vec![0; n],
             totals,
             idle: IdleTrack::default(),
-        }
+        })
     }
 
     /// Re-initialises the simulator in place for a fresh run on the same

@@ -133,6 +133,45 @@ fn oversized_thread_count_is_rejected_at_construction() {
     let _ = Simulator::new(cfg, &profiles, RoundRobin::default(), 1);
 }
 
+#[test]
+fn try_new_reports_typed_errors() {
+    let gzip = spec::profile("gzip").unwrap();
+    let mut cfg = SimConfig::baseline(1);
+    cfg.fetch_queue = 0;
+    let err = Simulator::try_new(cfg, &[gzip], RoundRobin::default(), 1).err();
+    assert!(matches!(err, Some(BuildError::Config(_))), "{err:?}");
+
+    let err = Simulator::try_new(SimConfig::baseline(2), &[gzip], RoundRobin::default(), 1).err();
+    let expect = BuildError::ThreadCount {
+        threads: 2,
+        profiles: 1,
+    };
+    assert_eq!(err, Some(expect));
+
+    let mut bad = gzip.clone();
+    bad.mem.streaming = 2.0;
+    let profiles = [gzip, &bad];
+    let err = Simulator::try_new(SimConfig::baseline(2), &profiles, RoundRobin::default(), 1).err();
+    assert!(
+        matches!(err, Some(BuildError::Profile { thread: 1, .. })),
+        "{err:?}"
+    );
+}
+
+#[test]
+fn try_new_builds_the_same_machine_as_new() {
+    let profiles = [
+        spec::profile("gzip").unwrap(),
+        spec::profile("mcf").unwrap(),
+    ];
+    let mut a = Simulator::new(SimConfig::baseline(2), &profiles, RoundRobin::default(), 5);
+    let mut b = Simulator::try_new(SimConfig::baseline(2), &profiles, RoundRobin::default(), 5)
+        .expect("valid inputs");
+    a.run_cycles(5_000);
+    b.run_cycles(5_000);
+    assert_eq!(a.result(), b.result());
+}
+
 /// Fills `tid`'s fetch queue to its configured capacity with real decoded
 /// instructions (mirroring what the fetch stage would do), so the
 /// full-queue fetch path can be exercised directly.

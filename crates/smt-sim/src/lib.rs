@@ -53,5 +53,5 @@ mod thread;
 pub mod watch;
 
 pub use config::{RunBudget, SimConfig};
-pub use core::{Simulator, StageProfile};
+pub use core::{BuildError, Simulator, StageProfile};
 pub use stats::{SimResult, ThreadStats};

@@ -2,22 +2,22 @@
 
 use crate::profile::BenchmarkProfile;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use smt_isa::{BranchKind, DecodedInst, InstClass, RegClass};
-use std::sync::{Arc, Mutex, OnceLock};
 
-/// Execution phase of the generated program.
+/// Execution phase of the generated program (the discriminant indexes
+/// per-phase tables).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
-    Compute,
-    Memory,
+    Compute = 0,
+    Memory = 1,
 }
 
 #[derive(Debug, Clone, Copy)]
 struct BranchSite {
     pc: u64,
     target: u64,
-    taken_prob: f64,
+    taken_thr: u64,
 }
 
 /// A deterministic, infinite instruction stream expanded from a
@@ -61,49 +61,122 @@ pub struct TraceGenerator {
     /// The split is fixed at construction, so site picking indexes the two
     /// ranges directly instead of rebuilding index vectors per branch.
     biased_count: usize,
-    /// `ln(1 - 1/dep_mean)` — the geometric sampler's denominator for
-    /// dependence distances, precomputed because it is drawn for almost
-    /// every instruction (`ln` twice per sample was a measurable share of
-    /// generation time). `NaN` when `dep_mean <= 1`.
+    /// `ln(1 - 1/dep_mean)`, the dependence distances' geometric divisor.
     dep_ln_one_minus_p: f64,
-    /// Descending geometric thresholds `exp(k · ln(1-p))` for
-    /// `k = 1..=DEP_CLAMP`, shared across generators with the same
-    /// `dep_mean` — the table behind the `ln`-free dependence-distance
-    /// fast path (see [`TraceGenerator::dep_distance`]).
-    dep_table: Arc<Vec<f64>>,
+    dep_guide: [u16; GUIDE_LEN],
     /// Cumulative mix thresholds for sampling instruction classes.
     mix_cdf: [(f64, InstClass); 8],
+    class_guide: [Option<InstClass>; GUIDE_LEN],
+    /// [`threshold`]s of the profile's probabilities, and per phase
+    /// (indexed by `Phase as usize`) of the region bounds `cold` and
+    /// `cold + warm`.
+    fp_load_thr: u64,
+    pointer_chase_thr: u64,
+    streaming_thr: u64,
+    call_thr: u64,
+    biased_thr: u64,
+    region_thr: [(u64, u64); 2],
 }
 
 /// Upper clamp of sampled dependence distances (instructions).
 const DEP_CLAMP: u64 = 512;
 
-/// The per-`dep_mean` threshold table for the dependence-distance sampler,
-/// built once per distinct mean and shared (generators are rebuilt for
-/// every sweep run; rebuilding 512 `exp` calls each time would eat the
-/// session-reuse savings). Keyed by the bit pattern of `ln(1 - 1/mean)`;
-/// a non-finite key (mean ≤ 1) yields an empty table, which is never
-/// consulted because the sampler short-circuits first.
-fn dep_threshold_table(ln_one_minus_p: f64) -> Arc<Vec<f64>> {
-    type TableCache = Mutex<Vec<(u64, Arc<Vec<f64>>)>>;
-    static CACHE: OnceLock<TableCache> = OnceLock::new();
-    let key = ln_one_minus_p.to_bits();
-    let mut cache = CACHE
-        .get_or_init(|| Mutex::new(Vec::new()))
-        .lock()
-        .expect("dep-table cache poisoned");
-    if let Some((_, table)) = cache.iter().find(|(k, _)| *k == key) {
-        return Arc::clone(table);
+/// Guide tables map the top ten bits of a raw draw (a bucket) to the
+/// value every draw in the bucket samples, if they all sample the same.
+const GUIDE_LEN: usize = 1 << 10;
+
+/// Relative margin a pure dependence bucket keeps from every `exp(k·L)`:
+/// millions of ULPs, against the few-ULP error of `exp(k·L)` and `ln(u)/L`.
+const GUARD: f64 = 1e-8;
+
+/// `rng.gen::<f64>()` for the raw draw `x`: exact, so monotone in `x`.
+fn unit(x: u64) -> f64 {
+    (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// `rng.gen_range(f64::EPSILON..1.0)` for the raw draw `x` (same
+/// expression); monotone in `x`.
+fn open_unit(x: u64) -> f64 {
+    f64::EPSILON + unit(x) * (1.0 - f64::EPSILON)
+}
+
+/// `unit(x) < p` exactly when `below(x, threshold(p))`: `p·2⁵³` is exact
+/// and `x >> 11` an integer.
+fn threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+fn below(x: u64, thr: u64) -> bool {
+    x >> 11 < thr
+}
+
+/// The lowest and highest raw draw of guide bucket `b`.
+fn bucket_bounds(b: usize) -> (u64, u64) {
+    let lo = (b as u64) << 54;
+    (lo, lo | ((1 << 54) - 1))
+}
+
+/// `ceil(ln(u) / L)` for `u = open_unit(x)`, at least 1.
+fn geometric(x: u64, ln_one_minus_p: f64) -> u64 {
+    (open_unit(x).ln() / ln_one_minus_p).ceil().max(1.0) as u64
+}
+
+/// The dependence-distance guide table ("indexed search", Chen & Asau
+/// 1974), 0 marking mixed buckets. The distance is `k` for
+/// `u ∈ [exp(k·L), exp((k-1)·L))`, and `open_unit` is monotone, so a
+/// bucket is pure when both end points fall in one interval at least
+/// [`GUARD`] inside it (`k = 1` has no upper bound; the clamp merges
+/// `k ≥ DEP_CLAMP`). Walking buckets down from `u ≈ 1` while `k` climbs
+/// takes at most `GUIDE_LEN + DEP_CLAMP` steps.
+fn dep_guide(ln_one_minus_p: f64) -> [u16; GUIDE_LEN] {
+    let exp_k = |k: u64| (ln_one_minus_p * k as f64).exp();
+    let (mut k, mut upper, mut lower) = (1, f64::INFINITY, exp_k(1));
+    let mut guide = [0; GUIDE_LEN];
+    for b in (0..GUIDE_LEN).rev() {
+        let (lo, hi) = bucket_bounds(b);
+        let (u_lo, u_hi) = (open_unit(lo), open_unit(hi));
+        while k < DEP_CLAMP && u_hi < lower {
+            k += 1;
+            upper = lower;
+            lower = exp_k(k);
+        }
+        let below_upper = u_hi < upper * (1.0 - GUARD);
+        let above_lower = k == DEP_CLAMP || u_lo > lower * (1.0 + GUARD);
+        if below_upper && above_lower {
+            guide[b] = k as u16;
+        }
     }
-    let table: Arc<Vec<f64>> = Arc::new(if ln_one_minus_p.is_finite() {
-        (1..=DEP_CLAMP)
-            .map(|k| (ln_one_minus_p * k as f64).exp())
-            .collect()
-    } else {
-        Vec::new()
-    });
-    cache.push((key, Arc::clone(&table)));
-    table
+    guide
+}
+
+/// The instruction-class guide table: the class index is monotone in the
+/// draw, so equal indices at both end points make a bucket pure. The CDF
+/// never decreases, so one cursor walks it alongside the buckets
+/// (`from_fn` fills them in ascending order).
+fn class_guide(cdf: &[(f64, InstClass); 8]) -> [Option<InstClass>; GUIDE_LEN] {
+    let mut idx = 0;
+    let mut index_of = |x: u64| {
+        while cdf.get(idx).is_some_and(|&(t, _)| t < unit(x)) {
+            idx += 1;
+        }
+        idx
+    };
+    std::array::from_fn(|b| {
+        let (lo, hi) = bucket_bounds(b);
+        let first = index_of(lo);
+        (first == index_of(hi)).then(|| class_at(cdf, first))
+    })
+}
+
+/// The index of the first mix entry with `u <= threshold`.
+fn class_index(cdf: &[(f64, InstClass); 8], u: f64) -> usize {
+    cdf.iter().map(|&(t, _)| usize::from(t < u)).sum()
+}
+
+/// The class at `idx`, or `IntAlu` past the end (rounding can leave the
+/// last cumulative threshold just below 1).
+fn class_at(cdf: &[(f64, InstClass); 8], idx: usize) -> InstClass {
+    cdf.get(idx).map_or(InstClass::IntAlu, |&(_, c)| c)
 }
 
 impl TraceGenerator {
@@ -157,13 +230,13 @@ impl TraceGenerator {
                     BranchSite {
                         pc,
                         target,
-                        taken_prob: 0.985,
+                        taken_thr: threshold(0.985),
                     }
                 } else {
                     let pc = code_base + (i as u64 * 193 % (code_bytes / 4)) * 4;
                     // Cold excursion half the time, back to the hot nest
                     // otherwise.
-                    let target = if rng.gen_bool(0.5) {
+                    let target = if below(rng.next_u64(), threshold(0.5)) {
                         code_base + rng.gen_range(0..code_bytes / 4) * 4
                     } else {
                         code_base + rng.gen_range(0..hot_code / 4) * 4
@@ -172,7 +245,7 @@ impl TraceGenerator {
                     BranchSite {
                         pc,
                         target,
-                        taken_prob: profile.branches.random_taken_rate,
+                        taken_thr: threshold(profile.branches.random_taken_rate),
                     }
                 }
             })
@@ -196,6 +269,13 @@ impl TraceGenerator {
             acc += w / total;
             (acc, c)
         });
+        let mem = profile.mem;
+        let regions = |boost: f64| {
+            let warm = (mem.warm_frac * boost).min(0.9);
+            let cold = (mem.cold_frac * boost).min(0.9 - warm.min(0.89));
+            (threshold(cold), threshold(cold + warm))
+        };
+        let dep_ln_one_minus_p = ln_one_minus_inv(profile.dep_mean);
 
         let mut this = TraceGenerator {
             profile: profile.clone(),
@@ -217,9 +297,19 @@ impl TraceGenerator {
             call_depth: 0,
             sites,
             biased_count: biased_sites.min(n_sites),
-            dep_ln_one_minus_p: ln_one_minus_inv(profile.dep_mean),
-            dep_table: dep_threshold_table(ln_one_minus_inv(profile.dep_mean)),
+            dep_ln_one_minus_p,
+            dep_guide: dep_guide(dep_ln_one_minus_p),
             mix_cdf,
+            class_guide: class_guide(&mix_cdf),
+            fp_load_thr: threshold(profile.fp_load_frac),
+            pointer_chase_thr: threshold(mem.pointer_chase),
+            streaming_thr: threshold(mem.streaming),
+            call_thr: threshold(profile.branches.call_frac),
+            biased_thr: threshold(profile.branches.biased_frac),
+            region_thr: [
+                regions(profile.phases.compute_damp),
+                regions(profile.phases.mem_boost),
+            ],
         };
         this.advance_phase();
         this
@@ -264,92 +354,42 @@ impl TraceGenerator {
         self.phase_left = sample_geometric(&mut self.rng, mean).max(1);
     }
 
-    fn sample_class(&mut self) -> InstClass {
-        let u: f64 = self.rng.gen();
-        // Branchless equivalent of "first entry with `u <= threshold`":
-        // the index is the number of thresholds strictly below `u`. Eight
-        // predicate sums vectorise; the early-exit scan it replaces was a
-        // data-dependent branch per instruction.
-        let idx = self
-            .mix_cdf
-            .iter()
-            .map(|&(threshold, _)| usize::from(threshold < u))
-            .sum::<usize>();
-        match self.mix_cdf.get(idx) {
-            Some(&(_, class)) => class,
-            None => InstClass::IntAlu,
-        }
+    /// `gen_bool(p)` against the precomputed `threshold(p)`.
+    fn bernoulli(&mut self, thr: u64) -> bool {
+        below(self.rng.next_u64(), thr)
     }
 
-    /// Samples a dependence distance: the clamped geometric draw
-    /// `ceil(ln(u) / ln(1-p)).clamp(1, 512)`, computed through the
-    /// precomputed threshold table instead of a per-sample `ln`.
-    ///
-    /// Bit-identical to the direct expression: the distance is `k` exactly
-    /// when `u` falls in `[exp(k·L), exp((k-1)·L))`, so a binary search
-    /// over the `exp(k·L)` table reproduces the `ln`-based result — except
-    /// possibly within a few ULPs of a threshold, where the two float
-    /// computations could round apart. A relative guard band of `1e-9`
-    /// around each interior threshold (four orders of magnitude wider than
-    /// the actual error bound of either expression, and crossed by ~1e-6
-    /// of draws) falls back to the original expression, which settles
-    /// those draws by definition. The clamp collapses the `k = 512/513`
-    /// boundary, so the table's tail needs no guard.
+    /// `class_at(class_index(u))` for `u = rng.gen::<f64>()`; the guide
+    /// table answers unless the draw's bucket straddles a mix threshold.
+    fn sample_class(&mut self) -> InstClass {
+        let x = self.rng.next_u64();
+        self.class_guide[(x >> 54) as usize]
+            .unwrap_or_else(|| class_at(&self.mix_cdf, class_index(&self.mix_cdf, unit(x))))
+    }
+
+    /// `ceil(ln(u) / ln(1-p)).clamp(1, 512)` for `u = rng.gen_range(ε..1)`;
+    /// the guide table answers unless the draw's bucket straddles a threshold.
     fn dep_distance(&mut self) -> u32 {
         if self.profile.dep_mean <= 1.0 {
             return 1;
         }
-        let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-        let table = &self.dep_table[..];
-        // Thresholds are descending; count how many exceed `u`. The draw
-        // is geometric, so almost every sample lands in the first few
-        // thresholds: count those with a branchless (vectorisable) sweep
-        // and only fall back to binary search for the rare deep tail —
-        // a data-dependent binary search over 512 entries costs ~9 branch
-        // mispredictions, which is as slow as the `ln` it replaces.
-        const SWEEP: usize = 16;
-        let head = table[..SWEEP.min(table.len())]
-            .iter()
-            .map(|&t| usize::from(t > u))
-            .sum::<usize>();
-        let above = if head < SWEEP.min(table.len()) {
-            head
-        } else {
-            SWEEP + table[SWEEP..].partition_point(|&t| t > u)
-        };
-        if above >= table.len() {
-            return DEP_CLAMP as u32; // k > DEP_CLAMP, clamped
+        let x = self.rng.next_u64();
+        match self.dep_guide[(x >> 54) as usize] {
+            0 => geometric(x, self.dep_ln_one_minus_p).min(DEP_CLAMP) as u32,
+            k => u32::from(k),
         }
-        let k = above + 1; // smallest k with u >= exp(k·L)
-        let lower = table[k - 1];
-        let near_lower = u - lower < lower * 1e-9;
-        let near_upper = k >= 2 && {
-            let upper = table[k - 2];
-            upper - u < upper * 1e-9
-        };
-        if near_lower || near_upper {
-            // Guard band: defer to the exact expression (same `u`).
-            let exact = (u.ln() / self.dep_ln_one_minus_p).ceil().max(1.0) as u64;
-            return exact.clamp(1, DEP_CLAMP) as u32;
-        }
-        k as u32
     }
 
     /// Samples a data address from the nested-working-set model. Returns
     /// `(address, is_cold)`.
     fn sample_address(&mut self) -> (u64, bool) {
         let mem = self.profile.mem;
-        let boost = match self.phase {
-            Phase::Memory => self.profile.phases.mem_boost,
-            Phase::Compute => self.profile.phases.compute_damp,
-        };
-        let warm = (mem.warm_frac * boost).min(0.9);
-        let cold = (mem.cold_frac * boost).min(0.9 - warm.min(0.89));
-        let u: f64 = self.rng.gen();
-        if u < cold {
+        let (cold, cold_warm) = self.region_thr[self.phase as usize];
+        let x = self.rng.next_u64();
+        if below(x, cold) {
             let off = self.cold_offset(mem.cold_bytes);
             (self.data_base + 0x4000_0000 + off, true)
-        } else if u < cold + warm {
+        } else if below(x, cold_warm) {
             // The warm region is a *conflict set*: `warm_bytes` worth of
             // lines arranged as 4 tags per L1 set. A 2-way L1 can hold at
             // most half of each set's tags, so every warm access misses
@@ -369,7 +409,7 @@ impl TraceGenerator {
             // co-running threads evicts warm lines gradually instead of
             // ageing the whole region past the LRU cliff at once — the
             // cliff made co-run performance bistable.
-            let j = if self.rng.gen_bool(0.5) {
+            let j = if self.bernoulli(threshold(0.5)) {
                 self.warm_cursor = self.warm_cursor.wrapping_add(1);
                 self.warm_cursor
             } else {
@@ -391,7 +431,7 @@ impl TraceGenerator {
     /// irregular profiles jump randomly. Either way the access is an L2
     /// miss; `streaming` only shapes the address pattern.
     fn cold_offset(&mut self, region_bytes: u64) -> u64 {
-        if self.rng.gen_bool(self.profile.mem.streaming) {
+        if self.bernoulli(self.streaming_thr) {
             self.cold_cursor = (self.cold_cursor + 64) % region_bytes;
             self.cold_cursor
         } else {
@@ -424,12 +464,11 @@ impl TraceGenerator {
 
     fn gen_load(&mut self, pc: u64) -> DecodedInst {
         let (addr, is_cold) = self.sample_address();
-        let dest =
-            if self.profile.fp_load_frac > 0.0 && self.rng.gen_bool(self.profile.fp_load_frac) {
-                RegClass::Fp
-            } else {
-                RegClass::Int
-            };
+        let dest = if self.profile.fp_load_frac > 0.0 && self.bernoulli(self.fp_load_thr) {
+            RegClass::Fp
+        } else {
+            RegClass::Int
+        };
         let mut b = DecodedInst::builder(InstClass::Load, pc)
             .dest(dest)
             .mem(addr, 8);
@@ -437,7 +476,7 @@ impl TraceGenerator {
             // Pointer chasing: the address of this cold load depends on the
             // data of the previous cold load, serialising the misses.
             if let Some(prev) = self.last_cold_load_seq {
-                if self.rng.gen_bool(self.profile.mem.pointer_chase) {
+                if self.bernoulli(self.pointer_chase_thr) {
                     let dist = (self.seq - prev).clamp(1, 512) as u32;
                     b = b.dep(dist);
                 }
@@ -463,14 +502,14 @@ impl TraceGenerator {
 
     fn gen_branch(&mut self, pc: u64) -> DecodedInst {
         // Returns match outstanding calls; calls occur with call_frac.
-        if self.call_depth > 0 && self.rng.gen_bool(0.5) {
+        if self.call_depth > 0 && self.bernoulli(threshold(0.5)) {
             self.call_depth -= 1;
             let target = self.code_base + self.rng.gen_range(0..64) * 4;
             return DecodedInst::builder(InstClass::Branch, pc)
                 .branch(BranchKind::Return, true, target)
                 .build();
         }
-        if self.rng.gen_bool(self.profile.branches.call_frac) {
+        if self.bernoulli(self.call_thr) {
             self.call_depth = (self.call_depth + 1).min(64);
             let site = self.pick_site();
             return DecodedInst::builder(InstClass::Branch, site.pc)
@@ -478,7 +517,7 @@ impl TraceGenerator {
                 .build();
         }
         let site = self.pick_site();
-        let taken = self.rng.gen_bool(site.taken_prob);
+        let taken = self.bernoulli(site.taken_thr);
         let d = self.dep_distance();
         let inst = DecodedInst::builder(InstClass::Branch, site.pc)
             .branch(BranchKind::Conditional, taken, site.target)
@@ -499,8 +538,7 @@ impl TraceGenerator {
         // heap-allocating) those vectors on every branch.
         let biased_len = self.biased_count;
         let random_len = self.sites.len() - biased_len;
-        let use_biased = biased_len > 0
-            && (random_len == 0 || self.rng.gen_bool(self.profile.branches.biased_frac));
+        let use_biased = biased_len > 0 && (random_len == 0 || self.bernoulli(self.biased_thr));
         let (first, len) = if use_biased {
             (0, biased_len)
         } else {
@@ -518,7 +556,7 @@ impl TraceGenerator {
         };
         let d1 = self.dep_distance();
         let mut b = DecodedInst::builder(class, pc).dest(dest).dep(d1);
-        if self.rng.gen_bool(0.25) {
+        if self.bernoulli(threshold(0.25)) {
             let d2 = self.dep_distance();
             b = b.dep(d2);
         }
@@ -526,8 +564,8 @@ impl TraceGenerator {
     }
 }
 
-/// `ln(1 - 1/mean)`, the denominator of the geometric sampler (`NaN` for
-/// `mean <= 1`, where the sampler short-circuits before using it).
+/// `ln(1 - 1/mean)`, the denominator of the geometric sampler (`-inf` for
+/// `mean == 1`, where the sampler short-circuits before using it).
 fn ln_one_minus_inv(mean: f64) -> f64 {
     let p = 1.0 / mean;
     (1.0 - p).ln()
@@ -535,18 +573,10 @@ fn ln_one_minus_inv(mean: f64) -> f64 {
 
 /// Samples a geometric-like positive integer with the given mean.
 fn sample_geometric(rng: &mut SmallRng, mean: f64) -> u64 {
-    sample_geometric_with(rng, mean, ln_one_minus_inv(mean))
-}
-
-/// [`sample_geometric`] with the `ln(1 - 1/mean)` denominator precomputed
-/// by the caller — bit-identical to recomputing it (same expression, same
-/// division), minus one `ln` per sample on the per-instruction hot path.
-fn sample_geometric_with(rng: &mut SmallRng, mean: f64, ln_one_minus_p: f64) -> u64 {
     if mean <= 1.0 {
         return 1;
     }
-    let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-    (u.ln() / ln_one_minus_p).ceil().max(1.0) as u64
+    geometric(rng.next_u64(), ln_one_minus_inv(mean))
 }
 
 #[cfg(test)]
@@ -565,21 +595,106 @@ mod tests {
         }
     }
 
-    /// The table-driven dependence-distance fast path must agree with the
-    /// direct `ceil(ln(u)/ln(1-p))` expression draw for draw — the rng
-    /// stream and the sampled values are both pinned.
+    /// Replays one raw draw through rand's own float samplers, the
+    /// reference for the integer-domain ones.
+    struct Fixed(u64);
+
+    impl RngCore for Fixed {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    /// The direct `ceil(ln(u)/ln(1-p))` dependence distance for raw draw `x`.
+    fn ln_distance(x: u64, l: f64) -> u32 {
+        let u: f64 = Fixed(x).gen_range(f64::EPSILON..1.0);
+        ((u.ln() / l).ceil().max(1.0) as u64).clamp(1, DEP_CLAMP) as u32
+    }
+
+    /// The dependence sampler agrees with the direct expression draw for
+    /// draw — the rng stream and the sampled values are both pinned.
     #[test]
     fn table_sampler_matches_ln_expression() {
         for bench in ["gcc", "mcf", "art", "gzip", "swim"] {
             let p = spec::profile(bench).unwrap();
             let mut g = TraceGenerator::new(p, 123, 0);
             let mut reference_rng = g.rng.clone();
-            let l = g.dep_ln_one_minus_p;
             for i in 0..200_000 {
-                let expect =
-                    sample_geometric_with(&mut reference_rng, p.dep_mean, l).clamp(1, 512) as u32;
-                let got = g.dep_distance();
-                assert_eq!(got, expect, "{bench}: draw {i} diverged");
+                let expect = ln_distance(reference_rng.next_u64(), g.dep_ln_one_minus_p);
+                assert_eq!(g.dep_distance(), expect, "{bench}: draw {i} diverged");
+            }
+        }
+    }
+
+    /// Every pure dependence bucket yields its entry at both end points and
+    /// at 64 random interior draws, and clears a 1e-9 relative guard band
+    /// around the thresholds. Besides the registry means, the means with
+    /// `1 - 1/mean` a power of two put thresholds exactly on bucket bounds.
+    #[test]
+    fn dep_guide_buckets_match_ln_expression() {
+        let mut rng = SmallRng::seed_from_u64(9);
+        let registry = spec::names()
+            .into_iter()
+            .map(|n| spec::profile(n).unwrap().dep_mean);
+        for mean in registry.chain([4.0 / 3.0, 2.0, 1.0 + 1e-9, 100.0, 1e4]) {
+            let l = ln_one_minus_inv(mean);
+            let guide = dep_guide(l);
+            for (b, k) in guide.iter().enumerate().filter(|&(_, &k)| k != 0) {
+                let (lo, hi) = bucket_bounds(b);
+                let interior = (0..64).map(|_| lo | rng.next_u64() >> 10);
+                for x in [lo, hi].into_iter().chain(interior) {
+                    assert_eq!(ln_distance(x, l), u32::from(*k), "mean {mean}: {x:#x}");
+                }
+                let k = u64::from(*k);
+                let exp_k = |k: u64| (l * k as f64).exp();
+                assert!(k == 1 || open_unit(hi) < exp_k(k - 1) * (1.0 - 1e-9));
+                assert!(k == DEP_CLAMP || open_unit(lo) > exp_k(k) * (1.0 + 1e-9));
+            }
+            let pure = guide.iter().filter(|&&k| k != 0).count();
+            assert!(pure >= GUIDE_LEN / 2, "mean {mean}: {pure} pure buckets");
+        }
+    }
+
+    /// Every pure class bucket selects its entry at both end points under
+    /// the early-exit CDF scan; at most one bucket per threshold is mixed.
+    #[test]
+    fn class_guide_buckets_match_cdf_scan() {
+        for name in spec::names() {
+            let g = TraceGenerator::new(spec::profile(name).unwrap(), 1, 0);
+            let scan = |x: u64| {
+                let u: f64 = Fixed(x).gen();
+                let first = g.mix_cdf.iter().find(|&&(t, _)| u <= t);
+                first.map_or(InstClass::IntAlu, |&(_, c)| c)
+            };
+            for (b, class) in g.class_guide.iter().enumerate() {
+                let (lo, hi) = bucket_bounds(b);
+                if let Some(c) = *class {
+                    assert_eq!((scan(lo), scan(hi)), (c, c), "{name}: bucket {b}");
+                }
+            }
+            let pure = g.class_guide.iter().flatten().count();
+            assert!(pure >= GUIDE_LEN - 8, "{name}: {pure} pure buckets");
+        }
+    }
+
+    /// `below(x, threshold(p))` equals rand's `gen_bool(p)` on both sides
+    /// of every threshold.
+    #[test]
+    fn integer_bernoulli_matches_float_compare() {
+        let mut rng = SmallRng::seed_from_u64(3);
+        let mut probs = vec![0.0, 1.0, 0.25, 0.5, 0.985, 1e-300, 1.0 - f64::EPSILON / 2.0];
+        probs.extend((0..1000).map(|_| rng.gen::<f64>()));
+        for name in spec::names() {
+            let p = spec::profile(name).unwrap();
+            let (m, b) = (p.mem, p.branches);
+            probs.extend([p.fp_load_frac, m.pointer_chase, m.streaming, m.warm_frac]);
+            probs.extend([m.cold_frac, b.random_taken_rate, b.call_frac, b.biased_frac]);
+        }
+        for p in probs {
+            let thr = threshold(p);
+            for m in [thr.saturating_sub(1), thr, thr + 1] {
+                let x = m.min((1 << 53) - 1) << 11;
+                assert_eq!(below(x, thr), Fixed(x).gen_bool(p), "p = {p}, m = {m}");
             }
         }
     }

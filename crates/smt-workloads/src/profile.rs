@@ -264,7 +264,8 @@ impl BenchmarkProfile {
     ///
     /// Returns [`ProfileError`] if any fraction is outside `[0, 1]`, the
     /// region fractions exceed 1 even after the phase boost, the mix is
-    /// empty, or a region is empty while carrying weight.
+    /// empty, a region is empty while carrying weight, or `dep_mean` is
+    /// not a finite number of at least 1.
     pub fn validate(&self) -> Result<(), ProfileError> {
         let frac = |v: f64, what: &str| {
             if !(0.0..=1.0).contains(&v) {
@@ -303,9 +304,9 @@ impl BenchmarkProfile {
         if self.mem.warm_frac + self.mem.cold_frac > 1.0 {
             return Err(ProfileError("warm_frac + cold_frac exceeds 1".into()));
         }
-        if self.dep_mean < 1.0 {
+        if !(1.0..f64::INFINITY).contains(&self.dep_mean) {
             return Err(ProfileError(format!(
-                "dep_mean {} must be >= 1",
+                "dep_mean {} must be finite and >= 1",
                 self.dep_mean
             )));
         }
@@ -448,8 +449,10 @@ mod tests {
         let mut p = BenchmarkProfile::builder("bad", Suite::Int)
             .build()
             .unwrap();
-        p.dep_mean = 0.0;
-        assert!(p.validate().is_err());
+        for mean in [0.0, f64::NAN, f64::INFINITY] {
+            p.dep_mean = mean;
+            assert!(p.validate().is_err(), "dep_mean {mean} accepted");
+        }
 
         let mut p2 = BenchmarkProfile::builder("bad", Suite::Int)
             .build()
