@@ -2,12 +2,11 @@
 
 use crate::classify::{ActivityTracker, ThreadPhase};
 use crate::sharing::{slow_share, SharingConfig};
-use serde::{Deserialize, Serialize};
 use smt_isa::{PerResource, QueueKind, RegClass, ResourceKind, ThreadId};
 use smt_policy_core::{CycleView, Policy};
 
 /// Configuration of the DCRA policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DcraConfig {
     /// Sharing factors for queues and registers (tune with
     /// [`SharingConfig::for_memory_latency`] when sweeping latency).

@@ -1,7 +1,5 @@
 //! The DCRA sharing model (paper Section 3.2).
 
-use serde::{Deserialize, Serialize};
-
 /// The sharing factor `C`: how much of their share fast threads lend to
 /// each slow thread.
 ///
@@ -12,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// while registers still use `1/(A+4)`. (`A` is the number of active
 /// threads competing for the resource, per the paper's re-definition of
 /// `C = 1/(FA+SA)` in Section 3.2.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SharingFactor {
     /// `C = 1/A` — generous lending (best at low memory latency; also the
     /// factor behind the paper's Table 1).
@@ -45,7 +43,7 @@ impl SharingFactor {
 /// The paper uses one circuit for the issue queues and one for the
 /// registers (Section 3.4) and gives them different factors at high
 /// latency (Section 5.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SharingConfig {
     /// Factor applied to the three issue queues.
     pub queue_factor: SharingFactor,
@@ -116,7 +114,7 @@ pub fn slow_share(total: u32, fast_active: u32, slow_active: u32, factor: Sharin
 
 /// One row of a pre-computed allocation table (the paper's Table 1 and the
 /// read-only-table implementation of Section 3.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TableEntry {
     /// Fast-active thread count.
     pub fast_active: u32,

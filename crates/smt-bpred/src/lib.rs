@@ -31,14 +31,13 @@ pub use btb::BranchTargetBuffer;
 pub use gshare::Gshare;
 pub use ras::ReturnAddressStack;
 
-use serde::{Deserialize, Serialize};
 use smt_isa::{BranchInfo, BranchKind, ThreadId};
 
 /// Configuration of the branch-prediction structures.
 ///
 /// Defaults match the paper's baseline (Table 2): 16K-entry gshare,
 /// 256-entry 4-way BTB, 256-entry RAS.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PredictorConfig {
     /// Number of 2-bit counters in the gshare pattern history table.
     pub gshare_entries: usize,
@@ -112,7 +111,7 @@ pub struct BranchPredictor {
 }
 
 /// Aggregate prediction statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PredictorStats {
     /// Conditional branches predicted.
     pub cond_lookups: u64,

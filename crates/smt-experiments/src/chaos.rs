@@ -6,10 +6,14 @@
 //! invalid machine configurations, unknown benchmarks, budget-exhausting
 //! workloads and sink poisoning — so soak tests can push hundreds of
 //! mixed good/faulty runs through
-//! [`Runner::run_isolated`](crate::runner::Runner::run_isolated) and
-//! assert that every *good* run stays bit-identical to a fault-free
+//! [`Runner::run_streaming_with_workers`](crate::runner::Runner::run_streaming_with_workers)
+//! and assert that every *good* run stays bit-identical to a fault-free
 //! sweep while every fault surfaces as a typed
 //! [`RunError`](crate::fault::RunError).
+//!
+//! Every fault is permanent: a run is a pure function of its spec, so an
+//! injected fault fails the same way on every replay, and the engine has
+//! no retry to recover it.
 //!
 //! Fault assignment is a pure function of `(seed, index)` via a
 //! splitmix64 hash, so the same plan instruments the same specs on every
@@ -30,12 +34,9 @@ pub const CHAOS_MARKER: &str = "chaos-injected";
 /// The kinds of sabotage a [`FaultPlan`] can assign to a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// The policy panics on every attempt → the run fails
+    /// The policy panics mid-run → the run fails
     /// [`RunError::Panicked`](crate::fault::RunError::Panicked).
     Panic,
-    /// The policy panics on the first attempt only → with retries enabled
-    /// the run completes on attempt 2, bit-identical to a clean run.
-    TransientPanic,
     /// The spec's machine configuration is invalidated (zero-sized fetch
     /// queue) → [`RunError::InvalidSpec`](crate::fault::RunError::InvalidSpec).
     InvalidConfig,
@@ -56,9 +57,8 @@ pub enum FaultKind {
     PoisonedSink,
 }
 
-const ALL_KINDS: [FaultKind; 7] = [
+const ALL_KINDS: [FaultKind; 6] = [
     FaultKind::Panic,
-    FaultKind::TransientPanic,
     FaultKind::InvalidConfig,
     FaultKind::UnknownBenchmark,
     FaultKind::Livelock,
@@ -130,16 +130,7 @@ impl FaultPlan {
                 match self.fault_at(i) {
                     None | Some(FaultKind::PoisonedSink) => {}
                     Some(FaultKind::Panic) => {
-                        s.fault = Some(InjectedFault::PanicAtCycle {
-                            at_cycle: 64,
-                            fail_attempts: u32::MAX,
-                        });
-                    }
-                    Some(FaultKind::TransientPanic) => {
-                        s.fault = Some(InjectedFault::PanicAtCycle {
-                            at_cycle: 64,
-                            fail_attempts: 1,
-                        });
+                        s.fault = Some(InjectedFault::PanicAtCycle { at_cycle: 64 });
                     }
                     Some(FaultKind::InvalidConfig) => {
                         s.config.fetch_queue = 0;
@@ -355,24 +346,10 @@ mod tests {
         };
         plan.faults[0] = Some(FaultKind::Panic);
         let specs = plan.instrument(&clean);
-        assert!(matches!(
+        assert_eq!(
             specs[0].fault,
-            Some(InjectedFault::PanicAtCycle {
-                fail_attempts: u32::MAX,
-                ..
-            })
-        ));
-        let transient = ALL_KINDS
-            .iter()
-            .position(|k| *k == FaultKind::TransientPanic)
-            .unwrap();
-        assert!(matches!(
-            specs[transient].fault,
-            Some(InjectedFault::PanicAtCycle {
-                fail_attempts: 1,
-                ..
-            })
-        ));
+            Some(InjectedFault::PanicAtCycle { at_cycle: 64 })
+        );
         let invalid = ALL_KINDS
             .iter()
             .position(|k| *k == FaultKind::InvalidConfig)

@@ -41,5 +41,7 @@ pub mod table3;
 pub mod table5;
 pub mod tables;
 
-pub use fault::{EngineOptions, EngineReport, InjectedFault, RetryPolicy, RunError};
-pub use runner::{PolicyKind, PrewarmStats, RunOutcome, RunSpec, RunStats, Runner, SimSession};
+pub use fault::{EngineReport, InjectedFault, RunError};
+pub use runner::{
+    default_workers, PolicyKind, PrewarmStats, RunOutcome, RunSpec, RunStats, Runner, SimSession,
+};

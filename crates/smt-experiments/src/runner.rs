@@ -11,7 +11,7 @@
 //! domains & error taxonomy".
 
 use crate::chaos::ChaosPolicy;
-use crate::fault::{EngineOptions, EngineReport, InjectedFault, RunError};
+use crate::fault::{EngineReport, InjectedFault, RunError};
 use dcra::{Dcra, DcraConfig, SharingConfig};
 use smt_isa::{PerResource, ThreadId};
 use smt_mem::{MemoryConfig, MemoryHierarchy};
@@ -137,9 +137,8 @@ pub struct RunSpec {
     /// [`smt_workloads::spec`] — run through the same machinery; `benches`
     /// then only carries the display names.
     pub profile_overrides: Option<Vec<BenchmarkProfile>>,
-    /// Per-run budget overriding the engine default. `None` (the usual
-    /// case) defers to [`EngineOptions::budget`] — or
-    /// [`RunBudget::default`] for one-shot sessions.
+    /// Per-run budget. `None` (the usual case) means
+    /// [`RunBudget::default`].
     pub budget: Option<RunBudget>,
     /// Deterministic fault injection for chaos tests; `None` everywhere
     /// else. See [`crate::chaos`].
@@ -245,24 +244,18 @@ impl RunStats {
 }
 
 /// What became of one run inside the fault-isolated engine: either the
-/// statistics of a completed run or the typed error it failed with. In
-/// both cases `attempts` counts executions (0 for admission-control
-/// rejections that never ran).
+/// statistics of a completed run or the typed error it failed with.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunOutcome {
     /// The run completed and produced statistics.
     Completed {
         /// The run's statistics.
         stats: RunStats,
-        /// Attempts consumed, retries included (1 = first try).
-        attempts: u32,
     },
-    /// The run failed on every permitted attempt (or was rejected).
+    /// The run failed.
     Failed {
-        /// Why the final attempt failed.
+        /// Why it failed.
         error: RunError,
-        /// Attempts consumed (0 = rejected before running).
-        attempts: u32,
     },
 }
 
@@ -270,7 +263,7 @@ impl RunOutcome {
     /// The statistics, if the run completed.
     pub fn stats(&self) -> Option<&RunStats> {
         match self {
-            RunOutcome::Completed { stats, .. } => Some(stats),
+            RunOutcome::Completed { stats } => Some(stats),
             RunOutcome::Failed { .. } => None,
         }
     }
@@ -279,7 +272,7 @@ impl RunOutcome {
     pub fn error(&self) -> Option<&RunError> {
         match self {
             RunOutcome::Completed { .. } => None,
-            RunOutcome::Failed { error, .. } => Some(error),
+            RunOutcome::Failed { error } => Some(error),
         }
     }
 
@@ -288,20 +281,11 @@ impl RunOutcome {
         matches!(self, RunOutcome::Completed { .. })
     }
 
-    /// Attempts consumed (0 for admission-control rejections).
-    pub fn attempts(&self) -> u32 {
-        match self {
-            RunOutcome::Completed { attempts, .. } | RunOutcome::Failed { attempts, .. } => {
-                *attempts
-            }
-        }
-    }
-
-    /// Unwraps into `Result`, discarding the attempt count.
+    /// Unwraps into `Result`.
     pub fn into_stats(self) -> Result<RunStats, RunError> {
         match self {
-            RunOutcome::Completed { stats, .. } => Ok(stats),
-            RunOutcome::Failed { error, .. } => Err(error),
+            RunOutcome::Completed { stats } => Ok(stats),
+            RunOutcome::Failed { error } => Err(error),
         }
     }
 }
@@ -355,32 +339,20 @@ impl SimSession {
     /// [`RunError`]s. Panics from
     /// policy or simulator code propagate — one-shot callers that need
     /// containment go through the [`Runner`] engine instead, which wraps
-    /// each attempt in [`std::panic::catch_unwind`].
+    /// each run in [`std::panic::catch_unwind`].
     pub fn run(&mut self, spec: &RunSpec) -> Result<RunStats, RunError> {
-        self.run_attempt(spec, 0, RunBudget::default(), &PrewarmCache::default())
+        self.run_with(spec, &PrewarmCache::default())
     }
 
-    /// One attempt of `spec`. `attempt` is 0-based and only consulted by
-    /// injected faults (a transient fault stops panicking once
-    /// `attempt >= fail_attempts`); `default_budget` applies when the spec
-    /// carries no budget of its own. The functional warm-up goes through
-    /// the `prewarm` snapshot cache.
-    fn run_attempt(
-        &mut self,
-        spec: &RunSpec,
-        attempt: u32,
-        default_budget: RunBudget,
-        prewarm: &PrewarmCache,
-    ) -> Result<RunStats, RunError> {
+    /// [`SimSession::run`] with the functional warm-up going through the
+    /// `prewarm` snapshot cache.
+    fn run_with(&mut self, spec: &RunSpec, prewarm: &PrewarmCache) -> Result<RunStats, RunError> {
         let profiles = spec.profiles()?;
         let policy = match spec.fault {
-            Some(InjectedFault::PanicAtCycle {
-                at_cycle,
-                fail_attempts,
-            }) if attempt < fail_attempts => {
+            Some(InjectedFault::PanicAtCycle { at_cycle }) => {
                 AnyPolicy::Boxed(Box::new(ChaosPolicy::new(spec.policy.build(), at_cycle)))
             }
-            _ => spec.policy.build(),
+            None => spec.policy.build(),
         };
         let sim = match &mut self.sim {
             Some(sim) if sim.config() == &spec.config && profiles.len() == spec.config.threads => {
@@ -396,7 +368,7 @@ impl SimSession {
             ),
         };
         prewarm.prewarm(sim, spec, &profiles);
-        let budget = spec.budget.unwrap_or(default_budget);
+        let budget = spec.budget.unwrap_or_default();
         if budget.is_unlimited() {
             sim.run_cycles(spec.warmup_cycles);
             sim.reset_stats();
@@ -431,49 +403,32 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// Runs `spec` on `session` under the engine's fault domain: each attempt
-/// is wrapped in `catch_unwind`, a caught panic discards the (possibly
-/// corrupt) simulator, and transient failures retry per `opts.retry`.
-fn execute_with_retry(
-    session: &mut SimSession,
-    spec: &RunSpec,
-    opts: &EngineOptions,
-    prewarm: &PrewarmCache,
-) -> RunOutcome {
-    let mut attempt = 0u32;
-    loop {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            session.run_attempt(spec, attempt, opts.budget, prewarm)
-        }));
-        attempt += 1;
-        let error = match result {
-            Ok(Ok(stats)) => {
-                return RunOutcome::Completed {
-                    stats,
-                    attempts: attempt,
-                }
-            }
-            Ok(Err(error)) => error,
-            Err(payload) => {
-                // The unwound simulator may hold arbitrary state; discard
-                // it so the next run on this worker starts clean.
-                *session = SimSession::new();
-                RunError::Panicked {
+/// Runs `spec` on `session` under the engine's fault domain: the run is
+/// wrapped in `catch_unwind`, and a caught panic discards the (possibly
+/// corrupt) simulator.
+fn execute(session: &mut SimSession, spec: &RunSpec, prewarm: &PrewarmCache) -> RunOutcome {
+    match catch_unwind(AssertUnwindSafe(|| session.run_with(spec, prewarm))) {
+        Ok(Ok(stats)) => RunOutcome::Completed { stats },
+        Ok(Err(error)) => RunOutcome::Failed { error },
+        Err(payload) => {
+            // The unwound simulator may hold arbitrary state; discard it so
+            // the next run on this worker starts clean.
+            *session = SimSession::new();
+            RunOutcome::Failed {
+                error: RunError::Panicked {
                     message: panic_message(payload),
-                }
+                },
             }
-        };
-        if attempt >= opts.retry.max_attempts || !error.is_transient() {
-            return RunOutcome::Failed {
-                error,
-                attempts: attempt,
-            };
-        }
-        let backoff = opts.retry.backoff_for(attempt);
-        if !backoff.is_zero() {
-            std::thread::sleep(backoff);
         }
     }
+}
+
+/// The engine worker count for callers without one of their own: the
+/// host's available parallelism, or 4 if it is unknown.
+pub fn default_workers() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4)
 }
 
 /// Cache key for single-thread baseline IPCs: the benchmark plus the
@@ -638,10 +593,10 @@ impl Runner {
     }
 
     /// Runs one spec to completion in a one-shot session. Spec-level
-    /// failures come back as [`RunError`]; panics propagate (use the
-    /// worker-pool entry points for panic containment).
+    /// failures come back as [`RunError`]; panics propagate (use
+    /// [`Runner::run_all`] for panic containment).
     pub fn run(&self, spec: &RunSpec) -> Result<RunStats, RunError> {
-        SimSession::new().run_attempt(spec, 0, RunBudget::default(), &self.prewarm)
+        SimSession::new().run_with(spec, &self.prewarm)
     }
 
     /// Hit and store counts of the prewarm snapshot cache so far. Every
@@ -651,39 +606,33 @@ impl Runner {
         self.prewarm.stats()
     }
 
-    /// Runs many specs on a pool of worker threads fed from a shared work
-    /// queue, streaming each [`RunOutcome`] into `sink` as it completes.
+    /// The engine: runs `specs` on a pool of `workers` threads fed from a
+    /// shared work queue, streaming each `(spec_index, outcome)` pair into
+    /// `sink` as it completes. A worker count of 0 runs on one worker.
     ///
     /// Every worker owns one [`SimSession`], so consecutive specs with the
     /// same machine configuration reuse a simulator instead of building one
     /// per run — the dominant setup cost of the paper-scale sweeps. The
-    /// sink receives `(spec_index, outcome)` pairs in *completion* order
-    /// (not spec order) under an internal lock; completed outcomes are
-    /// identical to sequential fresh-simulator runs, so consumers that
+    /// sink receives outcomes in *completion* order (not spec order) under
+    /// an internal lock; completed outcomes are identical to sequential
+    /// fresh-simulator runs for every worker count (only completion order
+    /// varies — the end-to-end suite pins this), so consumers that
     /// aggregate incrementally (the sweep and figure binaries) never
     /// materialise the whole result vector.
     ///
-    /// Each run executes in its own fault domain (see
-    /// [`Runner::run_isolated`], which this delegates to with default
-    /// [`EngineOptions`]).
-    pub fn run_streaming<F>(&self, specs: &[RunSpec], sink: F) -> EngineReport
-    where
-        F: FnMut(usize, RunOutcome) + Send,
-    {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        self.run_streaming_with_workers(specs, workers, sink)
-    }
-
-    /// [`Runner::run_streaming`] with an explicit worker count instead of
-    /// the host's available parallelism. Outcomes are identical for every
-    /// `workers >= 1` (each run is an isolated deterministic simulation;
-    /// only completion order varies) — the end-to-end suite pins this.
+    /// Fault-domain guarantees:
     ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero (with specs pending).
+    /// * **Panic containment** — a panicking run (policy bug, corrupt
+    ///   spec, injected chaos) is caught on its worker; the worker's
+    ///   simulator is discarded and the queue keeps draining. The panic
+    ///   surfaces as [`RunError::Panicked`].
+    /// * **Budgets** — every run is bounded by its spec's budget
+    ///   ([`RunBudget::default`] if it has none); breaches surface as
+    ///   [`RunError::CycleBudget`] / [`RunError::Livelock`].
+    /// * **Sink isolation** — a panicking sink callback is caught too; the
+    ///   shared sink lock is explicitly poison-recovered, sibling
+    ///   deliveries proceed, and the affected indices are reported in
+    ///   [`EngineReport::sink_panics`].
     pub fn run_streaming_with_workers<F>(
         &self,
         specs: &[RunSpec],
@@ -693,54 +642,9 @@ impl Runner {
     where
         F: FnMut(usize, RunOutcome) + Send,
     {
-        self.run_isolated(specs, workers, &EngineOptions::default(), sink)
-    }
-
-    /// The fault-isolated engine: runs `specs` on `workers` threads under
-    /// explicit [`EngineOptions`], streaming `(spec_index, outcome)` pairs
-    /// into `sink` in completion order.
-    ///
-    /// Fault-domain guarantees:
-    ///
-    /// * **Panic containment** — a panicking run (policy bug, corrupt
-    ///   spec, injected chaos) is caught on its worker; the worker's
-    ///   simulator is discarded and the queue keeps draining. The panic
-    ///   surfaces as [`RunError::Panicked`].
-    /// * **Budgets** — every run is bounded by its spec's budget or
-    ///   `opts.budget`; breaches surface as [`RunError::CycleBudget`] /
-    ///   [`RunError::Livelock`].
-    /// * **Retry** — transient failures retry up to
-    ///   `opts.retry.max_attempts` with deterministic replay (same seed,
-    ///   same spec, fresh simulator).
-    /// * **Admission control** — with `opts.queue_capacity = Some(cap)`,
-    ///   spec indices `>= cap` are rejected up front as
-    ///   [`RunError::QueueFull`] (attempts 0) and delivered to the sink
-    ///   before any run executes.
-    /// * **Sink isolation** — a panicking sink callback is caught too; the
-    ///   shared sink lock is explicitly poison-recovered, sibling
-    ///   deliveries proceed, and the affected indices are reported in
-    ///   [`EngineReport::sink_panics`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero (with specs pending).
-    pub fn run_isolated<F>(
-        &self,
-        specs: &[RunSpec],
-        workers: usize,
-        opts: &EngineOptions,
-        sink: F,
-    ) -> EngineReport
-    where
-        F: FnMut(usize, RunOutcome) + Send,
-    {
         if specs.is_empty() {
             return EngineReport::default();
         }
-        assert!(workers > 0, "need at least one worker");
-        let admitted = opts
-            .queue_capacity
-            .map_or(specs.len(), |cap| specs.len().min(cap));
         let sink = Mutex::new(sink);
         let sink_panics: Mutex<Vec<usize>> = Mutex::new(Vec::new());
         let completed = AtomicUsize::new(0);
@@ -762,49 +666,28 @@ impl Runner {
             }
         };
 
-        // Admission control: rejections are decided and delivered before
-        // any simulation starts, so a flooded queue fails fast.
-        let rejected = specs.len() - admitted;
-        for (i, _) in specs.iter().enumerate().skip(admitted) {
-            failed.fetch_add(1, Ordering::Relaxed);
-            deliver(
-                i,
-                RunOutcome::Failed {
-                    error: RunError::QueueFull {
-                        capacity: admitted,
-                        depth: specs.len(),
-                    },
-                    attempts: 0,
-                },
-            );
-        }
-
-        if admitted > 0 {
-            let workers = workers.min(admitted);
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| {
-                        let mut session = SimSession::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= admitted {
-                                break;
-                            }
-                            let outcome =
-                                execute_with_retry(&mut session, &specs[i], opts, &self.prewarm);
-                            let counter = if outcome.is_completed() {
-                                &completed
-                            } else {
-                                &failed
-                            };
-                            counter.fetch_add(1, Ordering::Relaxed);
-                            deliver(i, outcome);
+        let next = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..workers.clamp(1, specs.len()) {
+                scope.spawn(|| {
+                    let mut session = SimSession::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= specs.len() {
+                            break;
                         }
-                    });
-                }
-            });
-        }
+                        let outcome = execute(&mut session, &specs[i], &self.prewarm);
+                        let counter = if outcome.is_completed() {
+                            &completed
+                        } else {
+                            &failed
+                        };
+                        counter.fetch_add(1, Ordering::Relaxed);
+                        deliver(i, outcome);
+                    }
+                });
+            }
+        });
 
         let mut sink_panics = sink_panics
             .into_inner()
@@ -813,36 +696,14 @@ impl Runner {
         EngineReport {
             completed: completed.into_inner(),
             failed: failed.into_inner(),
-            rejected,
             sink_panics,
         }
     }
 
-    /// Runs many specs in parallel and returns their statistics in spec
-    /// order, or the first failure (by spec index). For partial results in
-    /// the presence of failures use [`Runner::run_all_outcomes`].
-    pub fn run_all(&self, specs: &[RunSpec]) -> Result<Vec<RunStats>, RunError> {
-        let mut stats = Vec::with_capacity(specs.len());
-        for outcome in self.run_all_outcomes(specs) {
-            stats.push(outcome.into_stats()?);
-        }
-        Ok(stats)
-    }
-
-    /// Runs many specs in parallel (default worker count) and returns all
-    /// outcomes — completed and failed — in spec order.
-    pub fn run_all_outcomes(&self, specs: &[RunSpec]) -> Vec<RunOutcome> {
-        let mut slots: Vec<Option<RunOutcome>> = specs.iter().map(|_| None).collect();
-        self.run_streaming(specs, |i, outcome| slots[i] = Some(outcome));
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("worker pool covered every spec"))
-            .collect()
-    }
-
-    /// [`Runner::run_all_outcomes`] with an explicit worker count; results
-    /// are in spec order and independent of `workers`.
-    pub fn run_all_with_workers(&self, specs: &[RunSpec], workers: usize) -> Vec<RunOutcome> {
+    /// Runs `specs` on `workers` threads and returns every outcome —
+    /// completed and failed — in spec order. Outcomes are independent of
+    /// `workers`.
+    pub fn run_all(&self, specs: &[RunSpec], workers: usize) -> Vec<RunOutcome> {
         let mut slots: Vec<Option<RunOutcome>> = specs.iter().map(|_| None).collect();
         self.run_streaming_with_workers(specs, workers, |i, outcome| slots[i] = Some(outcome));
         slots
@@ -900,7 +761,7 @@ impl Runner {
             }
         }
         let specs: Vec<RunSpec> = pending.iter().map(|(_, s)| s.clone()).collect();
-        let outcomes = self.run_all_outcomes(&specs);
+        let outcomes = self.run_all(&specs, default_workers());
         let mut cached = self
             .baselines
             .lock()
@@ -929,7 +790,6 @@ impl Runner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::RetryPolicy;
     use smt_sim::policy::Policy as _;
 
     fn tiny(benches: &[&str], policy: PolicyKind) -> RunSpec {
@@ -1050,14 +910,15 @@ mod tests {
             tiny(&["gzip"], PolicyKind::Icount),
             tiny(&["twolf"], PolicyKind::Dcra(DcraConfig::default())),
         ];
-        let batch = r.run_all(&specs).expect("valid specs");
+        let batch = r.run_all(&specs, 2);
         let solo0 = r.run(&specs[0]).expect("valid spec");
         let solo1 = r.run(&specs[1]).expect("valid spec");
         assert_eq!(
-            batch[0].result, solo0.result,
+            batch[0].stats().expect("valid spec").result,
+            solo0.result,
             "parallel run must be deterministic"
         );
-        assert_eq!(batch[1].result, solo1.result);
+        assert_eq!(batch[1].stats().expect("valid spec").result, solo1.result);
     }
 
     #[test]
@@ -1088,17 +949,38 @@ mod tests {
         ];
         let mut seen = vec![false; specs.len()];
         let mut outcomes: Vec<Option<RunStats>> = specs.iter().map(|_| None).collect();
-        let report = r.run_streaming(&specs, |i, out| {
+        let report = r.run_streaming_with_workers(&specs, default_workers(), |i, out| {
             seen[i] = true;
             outcomes[i] = Some(out.into_stats().expect("valid spec"));
         });
         assert!(seen.iter().all(|&s| s), "every spec must reach the sink");
         assert_eq!(report.completed, specs.len());
         assert_eq!(report.failed, 0);
-        let batch = r.run_all(&specs).expect("valid specs");
+        let batch = r.run_all(&specs, 2);
         for (streamed, batched) in outcomes.iter().zip(&batch) {
-            assert_eq!(streamed.as_ref().expect("seen").result, batched.result);
+            assert_eq!(
+                streamed.as_ref().expect("seen").result,
+                batched.stats().expect("valid spec").result
+            );
         }
+    }
+
+    #[test]
+    fn zero_workers_run_like_one_worker() {
+        let r = Runner::new();
+        let specs = vec![
+            tiny(&["gzip"], PolicyKind::Icount),
+            tiny(&["mcf", "art"], PolicyKind::Flush),
+        ];
+        let mut zero: Vec<Option<RunOutcome>> = specs.iter().map(|_| None).collect();
+        let report = r.run_streaming_with_workers(&specs, 0, |i, out| zero[i] = Some(out));
+        assert_eq!(report.completed, specs.len());
+        let zero: Vec<RunOutcome> = zero.into_iter().map(|o| o.expect("delivered")).collect();
+        assert_eq!(zero, r.run_all(&specs, 1));
+        assert_eq!(
+            r.run_streaming_with_workers(&[], 0, |_, _| {}),
+            EngineReport::default()
+        );
     }
 
     #[test]
@@ -1112,17 +994,13 @@ mod tests {
             tiny(&["art", "gcc"], PolicyKind::Flush),
         ];
         let mut bad = tiny(&["twolf", "swim"], PolicyKind::Stall);
-        bad.fault = Some(InjectedFault::PanicAtCycle {
-            at_cycle: 64,
-            fail_attempts: u32::MAX,
-        });
+        bad.fault = Some(InjectedFault::PanicAtCycle { at_cycle: 64 });
         let specs = vec![good[0].clone(), bad, good[1].clone()];
         let r = Runner::new();
-        let outcomes = r.run_all_with_workers(&specs, 1);
+        let outcomes = r.run_all(&specs, 1);
         match &outcomes[1] {
             RunOutcome::Failed {
                 error: RunError::Panicked { message },
-                attempts: 1,
             } => assert!(message.contains("chaos-injected"), "{message}"),
             other => panic!("expected contained panic, got {other:?}"),
         }
@@ -1131,88 +1009,6 @@ mod tests {
             let stats = outcomes[i].stats().expect("good run completed");
             assert_eq!(stats.result, clean.result, "spec {i} contaminated");
             assert_eq!(stats.mem, clean.mem);
-        }
-    }
-
-    #[test]
-    fn transient_faults_retry_to_a_bit_identical_completion() {
-        crate::chaos::silence_chaos_panics();
-        let mut spec = tiny(&["gzip", "mcf"], PolicyKind::Icount);
-        spec.fault = Some(InjectedFault::PanicAtCycle {
-            at_cycle: 64,
-            fail_attempts: 1,
-        });
-        let opts = EngineOptions {
-            retry: RetryPolicy::immediate(2),
-            ..EngineOptions::default()
-        };
-        let mut session = SimSession::new();
-        let outcome = execute_with_retry(&mut session, &spec, &opts, &PrewarmCache::default());
-        let (stats, attempts) = match outcome {
-            RunOutcome::Completed { stats, attempts } => (stats, attempts),
-            other => panic!("retry should complete, got {other:?}"),
-        };
-        assert_eq!(attempts, 2, "first attempt panics, second succeeds");
-        let mut clean = spec.clone();
-        clean.fault = None;
-        let reference = Runner::new().run(&clean).expect("valid spec");
-        assert_eq!(stats.result, reference.result, "retry must replay exactly");
-        assert_eq!(stats.mem, reference.mem);
-    }
-
-    #[test]
-    fn without_retries_a_transient_fault_still_fails_typed() {
-        crate::chaos::silence_chaos_panics();
-        let mut spec = tiny(&["gzip"], PolicyKind::Icount);
-        spec.fault = Some(InjectedFault::PanicAtCycle {
-            at_cycle: 64,
-            fail_attempts: 1,
-        });
-        let outcome = execute_with_retry(
-            &mut SimSession::new(),
-            &spec,
-            &EngineOptions::default(), // RetryPolicy::none()
-            &PrewarmCache::default(),
-        );
-        assert!(
-            matches!(
-                outcome,
-                RunOutcome::Failed {
-                    error: RunError::Panicked { .. },
-                    attempts: 1,
-                }
-            ),
-            "got {outcome:?}"
-        );
-    }
-
-    #[test]
-    fn admission_control_rejects_past_capacity() {
-        let r = Runner::new();
-        let specs = vec![
-            tiny(&["gzip"], PolicyKind::Icount),
-            tiny(&["mcf"], PolicyKind::Stall),
-            tiny(&["art"], PolicyKind::Flush),
-        ];
-        let opts = EngineOptions {
-            queue_capacity: Some(2),
-            ..EngineOptions::default()
-        };
-        let mut outcomes: Vec<Option<RunOutcome>> = specs.iter().map(|_| None).collect();
-        let report = r.run_isolated(&specs, 2, &opts, |i, o| outcomes[i] = Some(o));
-        assert_eq!(report.completed, 2);
-        assert_eq!(report.failed, 1);
-        assert_eq!(report.rejected, 1);
-        assert!(outcomes[0].as_ref().expect("ran").is_completed());
-        assert!(outcomes[1].as_ref().expect("ran").is_completed());
-        match outcomes[2].as_ref().expect("delivered") {
-            RunOutcome::Failed {
-                error: RunError::QueueFull { capacity, depth },
-                attempts: 0,
-            } => {
-                assert_eq!((*capacity, *depth), (2, 3));
-            }
-            other => panic!("expected QueueFull, got {other:?}"),
         }
     }
 
@@ -1226,7 +1022,7 @@ mod tests {
             tiny(&["art"], PolicyKind::Flush),
         ];
         let mut delivered = Vec::new();
-        let report = r.run_isolated(&specs, 2, &EngineOptions::default(), |i, o| {
+        let report = r.run_streaming_with_workers(&specs, 2, |i, o| {
             if i == 1 {
                 panic!("chaos-injected sink failure for spec {i}");
             }

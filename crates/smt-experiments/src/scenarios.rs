@@ -12,7 +12,7 @@
 //! mapped back to [`PolicyKind`]s here by name.
 
 use crate::fault::RunError;
-use crate::runner::{PolicyKind, RunSpec, Runner};
+use crate::runner::{default_workers, PolicyKind, RunSpec, Runner};
 use smt_workloads::{FamilySpec, PolicyTarget, ScenarioFamily};
 
 /// Run lengths for scenario sweeps. Families hold tens of mixes, so the
@@ -148,7 +148,7 @@ impl FamilySweepSummary {
     }
 }
 
-/// Sweeps `family` under `policy` on the runner's default worker pool.
+/// Sweeps `family` under `policy` on [`default_workers`] engine workers.
 pub fn sweep_family(
     runner: &Runner,
     family: &ScenarioFamily,
@@ -156,7 +156,7 @@ pub fn sweep_family(
     lengths: ScenarioLengths,
 ) -> FamilySweepSummary {
     let specs = specs_for_family(family, policy, lengths);
-    let outcomes = runner.run_all_outcomes(&specs);
+    let outcomes = runner.run_all(&specs, default_workers());
     let mut mixes = Vec::with_capacity(outcomes.len());
     let mut failures = Vec::new();
     for (index, (mix, outcome)) in family.mixes().iter().zip(outcomes).enumerate() {

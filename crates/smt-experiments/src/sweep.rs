@@ -3,7 +3,7 @@
 //! ILP/MIX/MEM × 2/3/4 classes of Section 4).
 
 use crate::fault::RunError;
-use crate::runner::{PolicyKind, RunSpec, Runner};
+use crate::runner::{default_workers, PolicyKind, RunSpec, Runner};
 use smt_metrics::hmean;
 use smt_sim::SimConfig;
 use smt_workloads::{table4_workloads, Workload, WorkloadType};
@@ -149,16 +149,19 @@ pub fn sweep_policy_threads(
     }
     let mut per_spec: Vec<Option<SpecMetrics>> = vec![None; specs.len()];
     let mut failures: Vec<(usize, RunError)> = Vec::new();
-    runner.run_streaming(&specs, |i, outcome| match outcome.into_stats() {
-        Ok(out) => {
-            per_spec[i] = Some(SpecMetrics {
-                tput: out.throughput(),
-                hm: hmean(&out.ipcs(), &singles[i]),
-                fpc: out.result.total_fetched() as f64 / out.result.total_committed().max(1) as f64,
-                mlp: smt_metrics::workload_mlp(&out.result),
-            });
+    runner.run_streaming_with_workers(&specs, default_workers(), |i, outcome| {
+        match outcome.into_stats() {
+            Ok(out) => {
+                per_spec[i] = Some(SpecMetrics {
+                    tput: out.throughput(),
+                    hm: hmean(&out.ipcs(), &singles[i]),
+                    fpc: out.result.total_fetched() as f64
+                        / out.result.total_committed().max(1) as f64,
+                    mlp: smt_metrics::workload_mlp(&out.result),
+                });
+            }
+            Err(error) => failures.push((i, error)),
         }
-        Err(error) => failures.push((i, error)),
     });
     failures.sort_by_key(|(i, _)| *i);
 

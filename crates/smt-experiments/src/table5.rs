@@ -55,8 +55,9 @@ pub const PAPER: [(WorkloadType, PhaseDistribution); 3] = [
 /// # Errors
 ///
 /// [`RunError::UnknownBenchmark`] if a Table-4 workload names a benchmark
-/// missing from the registry — typed like every other driver since PR 7,
-/// instead of panicking mid-sweep.
+/// missing from the registry, and [`RunError::InvalidSpec`] if its profiles
+/// cannot build a simulator — typed like every other driver, instead of
+/// panicking mid-sweep.
 pub fn run(cycles_per_workload: u64) -> Result<Vec<(WorkloadType, PhaseDistribution)>, RunError> {
     let mut rows = Vec::with_capacity(WorkloadType::ALL.len());
     for &kind in WorkloadType::ALL.iter() {
@@ -70,7 +71,10 @@ pub fn run(cycles_per_workload: u64) -> Result<Vec<(WorkloadType, PhaseDistribut
                 })
                 .collect::<Result<Vec<_>, RunError>>()?;
             let mut sim =
-                Simulator::new(SimConfig::baseline(2), &profiles, smt_policies::Icount, 42);
+                Simulator::try_new(SimConfig::baseline(2), &profiles, smt_policies::Icount, 42)
+                    .map_err(|e| RunError::InvalidSpec {
+                        message: e.to_string(),
+                    })?;
             sim.prewarm(300_000);
             sim.run_cycles(20_000);
             for _ in 0..cycles_per_workload {

@@ -124,8 +124,9 @@ fn boxed_escape_hatch_matches_goldens_for_spot_checks() {
     }
 }
 
-/// Session reuse (`run_all`/`run_streaming` with per-worker `SimSession`s)
-/// must equal fresh-`Simulator` sequential runs outcome for outcome.
+/// Session reuse (`run_all`/`run_streaming_with_workers` with per-worker
+/// `SimSession`s) must equal fresh-`Simulator` sequential runs outcome for
+/// outcome.
 #[test]
 fn session_runner_matches_fresh_sequential_runs() {
     let specs: Vec<RunSpec> = ["ICOUNT", "FLUSH", "SRA", "DCRA"]
@@ -178,13 +179,15 @@ fn session_runner_matches_fresh_sequential_runs() {
 
     // The parallel work-queue paths (per-worker sessions).
     let runner = Runner::new();
-    let all = runner.run_all(&specs).expect("known benches");
-    for (out, want) in all.iter().zip(&fresh) {
-        assert_eq!(&out.result, want, "run_all drifted on {}", want.policy);
+    for (out, want) in runner.run_all(&specs, 2).iter().zip(&fresh) {
+        let stats = out.stats().expect("run completed");
+        assert_eq!(&stats.result, want, "run_all drifted on {}", want.policy);
     }
     let mut streamed: Vec<Option<smt_experiments::RunOutcome>> =
         specs.iter().map(|_| None).collect();
-    runner.run_streaming(&specs, |i, out| streamed[i] = Some(out));
+    runner.run_streaming_with_workers(&specs, smt_experiments::default_workers(), |i, out| {
+        streamed[i] = Some(out)
+    });
     for (out, want) in streamed.iter().zip(&fresh) {
         let stats = out
             .as_ref()
@@ -193,21 +196,21 @@ fn session_runner_matches_fresh_sequential_runs() {
             .expect("run completed");
         assert_eq!(
             &stats.result, want,
-            "run_streaming drifted on {}",
+            "run_streaming_with_workers drifted on {}",
             want.policy
         );
     }
 }
 
-/// Retry determinism: a run that panics on its first attempt and is
-/// retried must end bit-identical to a run that never faulted. The retry
-/// path rebuilds the worker's `SimSession` from scratch after the caught
-/// panic, so any state leak from the poisoned attempt would show up here
-/// as golden-level drift.
+/// Replay after a caught panic: a faulty run and a clean copy of the same
+/// spec go through one worker back to back. The caught panic discards the
+/// worker's `SimSession`, and the clean run restores the prewarm snapshot
+/// the faulty run stored before it panicked, so any state leak from the
+/// poisoned run would show up here as golden-level drift.
 #[test]
-fn retried_runs_are_bit_identical_to_first_attempt_runs() {
-    use smt_experiments::chaos::silence_chaos_panics;
-    use smt_experiments::{EngineOptions, InjectedFault, RetryPolicy, RunOutcome};
+fn replay_after_a_caught_panic_is_bit_identical() {
+    use smt_experiments::chaos::{silence_chaos_panics, CHAOS_MARKER};
+    use smt_experiments::{InjectedFault, RunError, RunOutcome};
     silence_chaos_panics();
 
     let mut clean = RunSpec::new(&["gzip", "mcf"], PolicyKind::dcra_for_latency(300));
@@ -215,34 +218,25 @@ fn retried_runs_are_bit_identical_to_first_attempt_runs() {
     clean.warmup_cycles = 2_000;
     clean.measure_cycles = 15_000;
     let mut faulty = clean.clone();
-    faulty.fault = Some(InjectedFault::PanicAtCycle {
-        at_cycle: 500,
-        fail_attempts: 1,
-    });
+    faulty.fault = Some(InjectedFault::PanicAtCycle { at_cycle: 500 });
 
+    // The reference run is the workload's first sighting, so it prewarms
+    // from scratch; the faulty run stores the snapshot the clean one hits.
     let runner = Runner::new();
     let reference = runner.run(&clean).expect("known bench");
-
-    let opts = EngineOptions {
-        retry: RetryPolicy::immediate(2),
-        ..EngineOptions::default()
-    };
-    let outcomes = std::sync::Mutex::new(vec![None; 1]);
-    let report = runner.run_isolated(std::slice::from_ref(&faulty), 1, &opts, |i, out| {
-        outcomes.lock().unwrap()[i] = Some(out);
-    });
-    assert_eq!(report.completed, 1, "retried run must complete");
-    let outcome = outcomes.lock().unwrap()[0].take().expect("sink delivered");
-    match outcome {
-        RunOutcome::Completed { stats, attempts } => {
-            assert_eq!(attempts, 2, "first attempt must have panicked");
-            assert_eq!(
-                stats, reference,
-                "retried run drifted from the fault-free run"
-            );
-        }
-        RunOutcome::Failed { error, .. } => panic!("retry did not recover: {error}"),
+    let outcomes = runner.run_all(&[faulty, clean], 1);
+    match &outcomes[0] {
+        RunOutcome::Failed {
+            error: RunError::Panicked { message },
+        } => assert!(message.contains(CHAOS_MARKER), "{message}"),
+        other => panic!("the faulty run must fail contained, got {other:?}"),
     }
+    assert_eq!(
+        outcomes[1].stats().expect("clean run completed"),
+        &reference,
+        "the run after a caught panic drifted from the fault-free run"
+    );
+    assert_eq!(runner.prewarm_stats().hits, 1, "the clean run restored");
 }
 
 #[test]
@@ -379,7 +373,7 @@ fn prewarm_cache_hits_equal_fresh_sessions_for_all_policies() {
 
     let runner = Runner::new();
     for (round, workers) in [1, 2, 1, 2].into_iter().enumerate() {
-        let outcomes = runner.run_all_with_workers(&specs, workers);
+        let outcomes = runner.run_all(&specs, workers);
         for ((spec, out), want) in specs.iter().zip(&outcomes).zip(&fresh) {
             let got = out.stats().expect("run completed");
             assert_eq!(
@@ -407,21 +401,17 @@ fn chaos_panic_after_a_restore_leaves_later_hits_exact() {
 
     let clean = cache_spec(&["gzip", "mcf"], PolicyKind::dcra_for_latency(300));
     let mut faulty = cache_spec(&["gzip", "mcf"], PolicyKind::FlushPlusPlus);
-    faulty.fault = Some(InjectedFault::PanicAtCycle {
-        at_cycle: 300,
-        fail_attempts: u32::MAX,
-    });
+    faulty.fault = Some(InjectedFault::PanicAtCycle { at_cycle: 300 });
     let after = cache_spec(&["gzip", "mcf"], PolicyKind::Icount);
     let specs = vec![clean.clone(), clean.clone(), faulty, after.clone(), clean];
 
     let runner = Runner::new();
-    let outcomes = runner.run_all_with_workers(&specs, 1);
+    let outcomes = runner.run_all(&specs, 1);
     assert!(
         matches!(
             &outcomes[2],
             RunOutcome::Failed {
-                error: RunError::Panicked { .. },
-                ..
+                error: RunError::Panicked { .. }
             }
         ),
         "the faulty run must fail contained, got {:?}",
@@ -455,7 +445,7 @@ fn single_use_specs_store_no_prewarm_snapshot() {
         })
         .collect();
     let runner = Runner::new();
-    let outcomes = runner.run_all_with_workers(&specs, 2);
+    let outcomes = runner.run_all(&specs, 2);
     assert!(outcomes.iter().all(|o| o.is_completed()));
     assert_eq!(
         runner.prewarm_stats(),

@@ -1,13 +1,12 @@
 //! Decoded-instruction records produced by the trace generators.
 
 use crate::{QueueKind, RegClass};
-use serde::{Deserialize, Serialize};
 
 /// Functional class of an instruction.
 ///
 /// The class determines the issue queue the instruction occupies, the
 /// functional unit type it executes on and its execution latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InstClass {
     /// Simple integer ALU operation (1-cycle).
     IntAlu,
@@ -102,7 +101,7 @@ impl std::fmt::Display for InstClass {
 
 /// Kind of control-flow transfer, used by the branch-prediction substrate to
 /// choose between the direction predictor, the BTB and the RAS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BranchKind {
     /// Conditional direct branch; direction predicted by gshare.
     Conditional,
@@ -116,7 +115,7 @@ pub enum BranchKind {
 
 /// Control-flow information attached to a [`DecodedInst`] of class
 /// [`InstClass::Branch`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BranchInfo {
     /// Kind of transfer.
     pub kind: BranchKind,
@@ -128,7 +127,7 @@ pub struct BranchInfo {
 
 /// Memory access information attached to a [`DecodedInst`] of class
 /// [`InstClass::Load`] or [`InstClass::Store`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemAccess {
     /// Effective virtual address.
     pub addr: u64,
@@ -156,7 +155,7 @@ pub struct MemAccess {
 /// assert_eq!(inst.class, InstClass::IntAlu);
 /// assert_eq!(inst.deps(), [Some(1), None]);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecodedInst {
     /// Program counter of the instruction.
     pub pc: u64,

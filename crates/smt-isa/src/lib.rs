@@ -29,14 +29,12 @@ pub use inst::{BranchInfo, BranchKind, DecodedInst, DecodedInstBuilder, InstClas
 pub use packed::PackedInst;
 pub use thread::ThreadId;
 
-use serde::{Deserialize, Serialize};
-
 /// Register classes of the modelled machine (integer and floating point).
 ///
 /// The simulated processor has two physical register files, one per class,
 /// exactly as the evaluated machine in the paper (Table 2: "Physical
 /// Registers 352 (shared)" per file).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RegClass {
     /// Integer register file.
     Int,
@@ -77,7 +75,7 @@ impl std::fmt::Display for RegClass {
 ///
 /// The paper's baseline (Table 2) has 80-entry integer, floating-point and
 /// load/store queues, all shared between threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum QueueKind {
     /// Integer issue queue (ALU, multiply, branches).
     Int,
@@ -123,7 +121,7 @@ impl std::fmt::Display for QueueKind {
 /// Section 3.4 of the paper: DCRA keeps one usage counter per thread for each
 /// of the three issue queues and the two physical register files (plus two
 /// activity counters and a pending L1-miss counter).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ResourceKind {
     /// Integer issue-queue entries.
     IntQueue,
@@ -203,7 +201,7 @@ impl std::fmt::Display for ResourceKind {
 /// assert_eq!(usage[ResourceKind::IntQueue], 3);
 /// assert_eq!(usage[ResourceKind::FpQueue], 0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PerResource<T>(pub [T; ResourceKind::COUNT]);
 
 impl<T> PerResource<T> {

@@ -1,7 +1,5 @@
 //! Hardware-thread (context) identifiers.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a hardware thread (SMT context).
 ///
 /// The evaluated machine supports up to four contexts, matching the paper's
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.index(), 2);
 /// assert_eq!(t.to_string(), "T2");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ThreadId(u8);
 
 impl ThreadId {

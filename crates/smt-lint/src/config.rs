@@ -3,11 +3,10 @@
 //!
 //! The parser is a deliberately tiny TOML subset — `[section]`,
 //! `[[array-of-tables]]`, quoted section suffixes (`[crate."path"]`),
-//! and `key = "string" | integer | ["array", "of", "strings"]` — the
-//! same spirit as the vendored serde stand-in: enough for our own
-//! files, not a general implementation. Unknown keys are errors, so a
-//! typo in `lint.toml` fails loudly instead of silently disabling a
-//! rule.
+//! and `key = "string" | integer | ["array", "of", "strings"]` — enough
+//! for our own files, not a general implementation (the workspace builds
+//! offline, with no `toml` crate). Unknown keys are errors, so a typo in
+//! `lint.toml` fails loudly instead of silently disabling a rule.
 
 use crate::rules;
 

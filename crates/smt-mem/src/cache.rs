@@ -1,9 +1,7 @@
 //! Set-associative cache with LRU replacement.
 
-use serde::{Deserialize, Serialize};
-
 /// Geometry and timing of one cache.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: usize,
@@ -18,7 +16,7 @@ pub struct CacheConfig {
 }
 
 /// Hit/miss counters of one cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups performed.
     pub accesses: u64,

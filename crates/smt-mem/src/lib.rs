@@ -36,11 +36,10 @@ pub use cache::{Cache, CacheConfig, CacheStats};
 pub use mshr::{MshrFile, OutstandingMiss};
 pub use tlb::{Tlb, TlbStats};
 
-use serde::{Deserialize, Serialize};
 use smt_isa::ThreadId;
 
 /// Which level of the hierarchy serviced an access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HitLevel {
     /// Serviced by the L1 (or coalesced with an L1-resident state).
     L1,
@@ -97,7 +96,7 @@ pub const DEFAULT_L2_LATENCY: u32 = 20;
 /// Configuration of the full memory hierarchy.
 ///
 /// Defaults are the paper's baseline (Table 2).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MemoryConfig {
     /// L1 instruction cache geometry.
     pub il1: CacheConfig,
@@ -152,7 +151,7 @@ impl Default for MemoryConfig {
 }
 
 /// Per-thread memory statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ThreadMemStats {
     /// Data accesses issued.
     pub accesses: u64,

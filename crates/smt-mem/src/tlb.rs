@@ -1,10 +1,9 @@
 //! Data translation lookaside buffer.
 
 use fxhash::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 /// TLB hit/miss counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TlbStats {
     /// Translations requested.
     pub accesses: u64,

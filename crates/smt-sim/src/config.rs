@@ -1,6 +1,5 @@
 //! Simulator configuration (the paper's Table 2).
 
-use serde::{Deserialize, Serialize};
 use smt_bpred::PredictorConfig;
 use smt_isa::{PerResource, QueueKind, RegClass, ResourceKind};
 use smt_mem::MemoryConfig;
@@ -23,7 +22,7 @@ use smt_mem::MemoryConfig;
 /// assert_eq!(cfg.phys_regs, 352);
 /// assert_eq!(cfg.rename_pool(), 352 - 32 * 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SimConfig {
     /// Number of hardware threads for this run.
     pub threads: usize,

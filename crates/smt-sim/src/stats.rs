@@ -1,9 +1,7 @@
 //! Simulation statistics and results.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-thread outcome of a simulation run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ThreadStats {
     /// Committed (useful) instructions.
     pub committed: u64,
@@ -58,7 +56,7 @@ impl ThreadStats {
 }
 
 /// Outcome of a complete simulation run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimResult {
     /// Cycles simulated (after warm-up).
     pub cycles: u64,

@@ -1,12 +1,10 @@
 //! Statistical benchmark profiles.
 
-use serde::{Deserialize, Serialize};
-
 /// Which SPEC2000 sub-suite a benchmark belongs to (determines default
 /// instruction mix and whether the thread ever touches FP resources —
 /// integer programs are *inactive* for FP resources in DCRA's
 /// classification, Section 3.1.2 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Suite {
     /// SPECint2000-like.
     Int,
@@ -16,7 +14,7 @@ pub enum Suite {
 
 /// Instruction-class mix as sampling weights (need not sum to 1; they are
 /// normalised at sampling time).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InstMix {
     /// Loads.
     pub load: f64,
@@ -97,7 +95,7 @@ impl InstMix {
 /// cold loads depend on the previous cold load — serial misses (mcf-like,
 /// no memory parallelism) versus independent misses (art/swim-like, high
 /// memory parallelism).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemBehavior {
     /// Bytes of the L1-resident hot region.
     pub hot_bytes: u64,
@@ -135,7 +133,7 @@ impl MemBehavior {
 }
 
 /// Branch behaviour: a population of synthetic static branch sites.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BranchBehavior {
     /// Number of static conditional-branch sites.
     pub sites: usize,
@@ -170,7 +168,7 @@ impl BranchBehavior {
 /// down) and **memory** phases (scaled up). The alternation produces the
 /// fast/slow phase mixture that the paper's Table 5 measures and that DCRA's
 /// continuous re-classification exploits.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseBehavior {
     /// Mean length (instructions) of a compute phase.
     pub compute_len: f64,
@@ -210,7 +208,7 @@ impl std::error::Error for ProfileError {}
 ///
 /// Build with [`BenchmarkProfile::builder`]; ready-made SPEC2000-like
 /// profiles live in [`crate::spec`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchmarkProfile {
     /// Benchmark name (paper's naming, e.g. `"mcf"`, `"perl"`).
     pub name: String,

@@ -1,9 +1,7 @@
 //! The paper's Table-4 multiprogrammed workloads.
 
-use serde::{Deserialize, Serialize};
-
 /// Workload class by the cache behaviour of its member threads (Section 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum WorkloadType {
     /// Only high-ILP threads.
     Ilp,
@@ -29,7 +27,7 @@ impl std::fmt::Display for WorkloadType {
 }
 
 /// One multiprogrammed workload: a named set of benchmarks run together.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Workload {
     /// Class (ILP/MIX/MEM).
     pub kind: WorkloadType,

@@ -276,13 +276,13 @@ fn family_sweeps_are_invariant_to_worker_count() {
     let family = ScenarioFamily::generate(&FamilySpec::expected(4), 21).unwrap();
     let specs = specs_for_family(&family, &PolicyKind::Icount, ScenarioLengths::smoke());
     let reference: Vec<_> = runner
-        .run_all_with_workers(&specs, 1)
+        .run_all(&specs, 1)
         .into_iter()
         .map(|o| o.into_stats().expect("scenario mixes run clean").result)
         .collect();
     for workers in [2usize, 4] {
         let outcomes: Vec<_> = runner
-            .run_all_with_workers(&specs, workers)
+            .run_all(&specs, workers)
             .into_iter()
             .map(|o| o.into_stats().expect("scenario mixes run clean").result)
             .collect();
