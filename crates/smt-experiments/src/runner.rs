@@ -14,7 +14,7 @@ use crate::chaos::ChaosPolicy;
 use crate::fault::{EngineReport, InjectedFault, RunError};
 use dcra::{Dcra, DcraConfig, SharingConfig};
 use smt_isa::{PerResource, ThreadId};
-use smt_mem::{MemoryConfig, MemoryHierarchy};
+use smt_mem::{MemoryConfig, MemorySnapshot};
 use smt_policies as pol;
 use smt_sim::policy::AnyPolicy;
 use smt_sim::watch::CommitWatchdog;
@@ -367,7 +367,7 @@ impl SimSession {
                 )?,
             ),
         };
-        prewarm.prewarm(sim, spec, &profiles);
+        prewarm.prewarm(sim, spec, &profiles)?;
         let budget = spec.budget.unwrap_or_default();
         if budget.is_unlimited() {
             sim.run_cycles(spec.warmup_cycles);
@@ -460,13 +460,15 @@ fn baseline_spec(bench: &str, config: &SimConfig, lengths: &RunSpec) -> (Baselin
     (key, spec)
 }
 
-/// Hit and store counts of a [`Runner`]'s prewarm snapshot cache.
+/// Hit, store and size counts of a [`Runner`]'s prewarm snapshot cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrewarmStats {
     /// Runs whose functional warm-up was restored from a snapshot.
     pub hits: usize,
     /// Snapshots stored (one per key, on its second sighting).
     pub stores: usize,
+    /// [`MemorySnapshot::heap_bytes`] summed over the stored snapshots.
+    pub snapshot_bytes: usize,
 }
 
 /// One workload key of the prewarm cache: everything the memory state
@@ -480,8 +482,9 @@ struct PrewarmEntry {
     profiles: Vec<BenchmarkProfile>,
     seed: u64,
     insts: u64,
-    /// The post-prewarm hierarchy; `None` until the key's second sighting.
-    snapshot: Option<Arc<MemoryHierarchy>>,
+    /// The post-prewarm memory state; `None` until the key's second
+    /// sighting.
+    snapshot: Option<Arc<MemorySnapshot>>,
 }
 
 impl PrewarmEntry {
@@ -512,8 +515,14 @@ struct PrewarmCache {
 
 impl PrewarmCache {
     /// Brings `sim`, freshly built or reset for `spec`, to its post-prewarm
-    /// state: restored from a snapshot on a hit, prewarmed otherwise.
-    fn prewarm(&self, sim: &mut Simulator, spec: &RunSpec, profiles: &[&BenchmarkProfile]) {
+    /// state: restored from a snapshot on a hit, prewarmed otherwise. A
+    /// snapshot that does not fit the simulator is an invalid spec.
+    fn prewarm(
+        &self,
+        sim: &mut Simulator,
+        spec: &RunSpec,
+        profiles: &[&BenchmarkProfile],
+    ) -> Result<(), RunError> {
         let lock = || self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let second_sighting = {
             let mut guard = lock();
@@ -526,8 +535,11 @@ impl PrewarmCache {
                     let snapshot = Arc::clone(snapshot);
                     stats.hits += 1;
                     drop(guard);
-                    sim.restore_prewarm(&snapshot);
-                    return;
+                    return sim
+                        .restore_prewarm(&snapshot)
+                        .map_err(|e| RunError::InvalidSpec {
+                            message: e.to_string(),
+                        });
                 }
                 Some(_) => true,
                 None => {
@@ -544,7 +556,7 @@ impl PrewarmCache {
         };
         sim.prewarm(spec.prewarm_insts);
         if second_sighting {
-            let snapshot = Arc::new(sim.memory().clone());
+            let snapshot = Arc::new(sim.memory().snapshot());
             let mut guard = lock();
             let (entries, stats) = &mut *guard;
             // Another worker may have stored the same key meanwhile.
@@ -552,10 +564,12 @@ impl PrewarmCache {
                 .iter_mut()
                 .find(|e| e.snapshot.is_none() && e.matches(spec, profiles))
             {
+                stats.snapshot_bytes += snapshot.heap_bytes();
                 entry.snapshot = Some(snapshot);
                 stats.stores += 1;
             }
         }
+        Ok(())
     }
 
     fn stats(&self) -> PrewarmStats {
@@ -599,7 +613,7 @@ impl Runner {
         SimSession::new().run_with(spec, &self.prewarm)
     }
 
-    /// Hit and store counts of the prewarm snapshot cache so far. Every
+    /// Hit, store and size counts of the prewarm snapshot cache so far. Every
     /// run through this runner looks the cache up; results are
     /// bit-identical whether it hits or not.
     pub fn prewarm_stats(&self) -> PrewarmStats {
@@ -901,6 +915,26 @@ mod tests {
             .expect("valid spec");
         assert!(out.throughput() > 0.1);
         assert_eq!(out.mem.len(), 2);
+    }
+
+    /// Pins the stored snapshot size of one MEM4 mix at the perfbench
+    /// `fig5` lengths (130k / 8k / 32k on the baseline machine), so a
+    /// return to dense copies of the hierarchy fails here: their L2 tag
+    /// array alone is 128 KiB.
+    #[test]
+    fn prewarm_snapshot_bytes_are_pinned_for_a_mem4_mix() {
+        let mem4 = &smt_workloads::workloads_of(smt_workloads::WorkloadType::Mem, 4)[0];
+        let mut spec =
+            RunSpec::for_workload(mem4, PolicyKind::Icount).with_config(SimConfig::baseline(4));
+        spec.prewarm_insts = 130_000;
+        spec.warmup_cycles = 8_000;
+        spec.measure_cycles = 32_000;
+        let runner = Runner::new();
+        let outcomes = runner.run_all(&[spec.clone(), spec], 1);
+        assert!(outcomes.iter().all(RunOutcome::is_completed));
+        let stats = runner.prewarm_stats();
+        assert_eq!((stats.hits, stats.stores), (0, 1));
+        assert_eq!(stats.snapshot_bytes, 240_904);
     }
 
     #[test]

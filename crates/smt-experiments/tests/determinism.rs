@@ -449,6 +449,10 @@ fn single_use_specs_store_no_prewarm_snapshot() {
     assert!(outcomes.iter().all(|o| o.is_completed()));
     assert_eq!(
         runner.prewarm_stats(),
-        smt_experiments::PrewarmStats { hits: 0, stores: 0 }
+        smt_experiments::PrewarmStats {
+            hits: 0,
+            stores: 0,
+            snapshot_bytes: 0
+        }
     );
 }

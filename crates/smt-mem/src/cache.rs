@@ -38,12 +38,39 @@ impl CacheStats {
 /// One way of a set: its resident tag and LRU stamp, stored interleaved
 /// so a set lookup walks one contiguous run of memory (a 2-way set is a
 /// single 32-byte span) instead of two parallel arrays.
-#[derive(Debug, Clone, Copy)]
-struct Way {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Way {
     /// Resident tag; `u64::MAX` = invalid.
     tag: u64,
     /// LRU stamp.
     lru: u64,
+}
+
+impl Way {
+    /// A way that was never filled. Ways are never invalidated, so every
+    /// other way holds a tag and a nonzero LRU stamp.
+    const EMPTY: Way = Way {
+        tag: u64::MAX,
+        lru: 0,
+    };
+}
+
+/// The live state of one [`Cache`]: its filled ways with their slot
+/// indices, plus the LRU tick and counters. Every other slot is
+/// [`Way::EMPTY`], so this is all a restore needs.
+#[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq))]
+pub(crate) struct CacheSnapshot {
+    ways: Vec<(usize, Way)>,
+    tick: u64,
+    stats: CacheStats,
+}
+
+impl CacheSnapshot {
+    /// Bytes of the owned buffer: element size × length.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.ways.len() * std::mem::size_of::<(usize, Way)>()
+    }
 }
 
 /// A set-associative, write-allocate cache with true-LRU replacement.
@@ -99,13 +126,7 @@ impl Cache {
         let sets = config.size_bytes / way_bytes;
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         Cache {
-            slots: vec![
-                Way {
-                    tag: u64::MAX,
-                    lru: 0
-                };
-                sets * config.ways
-            ],
+            slots: vec![Way::EMPTY; sets * config.ways],
             sets,
             ways: config.ways,
             line_shift: config.line_bytes.trailing_zeros(),
@@ -172,12 +193,35 @@ impl Cache {
     /// After this call the cache behaves bit-identically to a freshly
     /// constructed one.
     pub fn reset_cold(&mut self) {
-        self.slots.fill(Way {
-            tag: u64::MAX,
-            lru: 0,
-        });
+        self.slots.fill(Way::EMPTY);
         self.tick = 0;
         self.stats = CacheStats::default();
+    }
+
+    /// Copies out the filled ways, the tick and the counters.
+    pub(crate) fn snapshot(&self) -> CacheSnapshot {
+        CacheSnapshot {
+            ways: self
+                .slots
+                .iter()
+                .enumerate()
+                .filter(|(_, w)| **w != Way::EMPTY)
+                .map(|(slot, w)| (slot, *w))
+                .collect(),
+            tick: self.tick,
+            stats: self.stats,
+        }
+    }
+
+    /// Returns the cache to the state `snapshot` was taken from. The
+    /// snapshot must come from a cache of the same geometry.
+    pub(crate) fn restore(&mut self, snapshot: &CacheSnapshot) {
+        self.slots.fill(Way::EMPTY);
+        for &(slot, way) in &snapshot.ways {
+            self.slots[slot] = way;
+        }
+        self.tick = snapshot.tick;
+        self.stats = snapshot.stats;
     }
 
     /// Number of sets.

@@ -11,6 +11,10 @@
 //! memory-level-parallelism (overlapping L2 misses) statistic the paper
 //! reports in Section 5.2.
 //!
+//! A hierarchy's state can be saved as a sparse [`MemorySnapshot`] and
+//! restored into another hierarchy of the same configuration, which then
+//! behaves identically to the original.
+//!
 //! # Examples
 //!
 //! ```
@@ -30,10 +34,12 @@
 
 mod cache;
 mod mshr;
+mod snapshot;
 mod tlb;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
 pub use mshr::{MshrFile, OutstandingMiss};
+pub use snapshot::{MemorySnapshot, RestoreError};
 pub use tlb::{Tlb, TlbStats};
 
 use smt_isa::ThreadId;

@@ -189,6 +189,41 @@ impl MshrFile {
         None
     }
 
+    /// Every tracked fill as `(line, fill)`, sorted by `(ready_at, line)`:
+    /// the whole observable state of the file (see [`MshrFile::restore`]).
+    pub(crate) fn fills(&self) -> Vec<(u64, OutstandingMiss)> {
+        let mut fills: Vec<_> = self.entries.iter().map(|(&line, &e)| (line, e)).collect();
+        fills.sort_unstable_by_key(|&(line, e)| (e.ready_at, line));
+        fills
+    }
+
+    /// Rebuilds the file from `fills` (as returned by [`MshrFile::fills`]):
+    /// the map, both expiry queues and the per-thread MLP counts. The
+    /// rebuilt file behaves identically to the one the fills came from,
+    /// whatever state that was in:
+    ///
+    /// - nothing reads the map's iteration order;
+    /// - queue pops follow the total `(ready_at, line)` order, whatever
+    ///   the heap layout;
+    /// - the stale nodes the source may hold are not rebuilt, and dropping
+    ///   them changes nothing: [`MshrFile::purge_expired`] re-checks an
+    ///   entry before it evicts, [`MshrFile::next_ready_at`] skips stale
+    ///   nodes, and every live entry keeps a node of its own in each queue
+    ///   it belongs to.
+    pub(crate) fn restore(&mut self, fills: &[(u64, OutstandingMiss)]) {
+        self.reset_cold();
+        for &(line, e) in fills {
+            self.allocate(line, e.owner, e.level, e.ready_at);
+        }
+    }
+
+    /// Queue nodes, in either queue, left behind by fills collected early.
+    #[cfg(test)]
+    pub(crate) fn stale_nodes(&self) -> usize {
+        let mem_entries: u32 = self.mem_inflight.iter().sum();
+        self.expiry.len() - self.entries.len() + self.mem_expiry.len() - mem_entries as usize
+    }
+
     /// Drops every tracked fill and zeroes the MLP counters, keeping the
     /// map/heap allocations. Bit-identical to a fresh MSHR file.
     pub fn reset_cold(&mut self) {

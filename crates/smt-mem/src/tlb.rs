@@ -30,6 +30,7 @@ pub struct TlbStats {
 /// assert!(!tlb.access(0x2000));   // next page
 /// ```
 #[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq))]
 pub struct Tlb {
     /// Resident page → slot index.
     map: FxHashMap<u64, u32>,
@@ -142,6 +143,15 @@ impl Tlb {
     /// Hit/miss counters.
     pub fn stats(&self) -> TlbStats {
         self.stats
+    }
+
+    /// Bytes of the owned buffers' contents: element size × length for the
+    /// page map and the three slot arrays.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.map.len() * size_of::<(u64, u32)>()
+            + self.pages.len() * size_of::<u64>()
+            + (self.prev.len() + self.next.len()) * size_of::<u32>()
     }
 
     /// Returns the TLB to its power-on state (no resident pages, zeroed

@@ -43,7 +43,7 @@ use crate::thread::ThreadState;
 use events::{EventWheel, ReadyEntry};
 use smt_bpred::BranchPredictor;
 use smt_isa::{InstClass, PerResource, ThreadId};
-use smt_mem::MemoryHierarchy;
+use smt_mem::{MemoryHierarchy, MemorySnapshot, RestoreError};
 use smt_workloads::{BenchmarkProfile, ProfileError, ThreadTrace};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -387,16 +387,22 @@ impl Simulator {
         self.mem.reset_stats();
     }
 
-    /// Restores the memory hierarchy to `snapshot`, a copy of
-    /// [`Self::memory`] taken right after [`Self::prewarm`] on a simulator
-    /// with the same memory configuration, thread count, profiles, seed
-    /// and warm-up length. Call it in place of `prewarm` on a freshly
-    /// built or reset simulator: prewarm touches nothing but the memory
-    /// hierarchy (caches, TLBs and the fills still in flight at cycle 0),
-    /// so the restored machine is bit-identical to a prewarmed one.
-    pub fn restore_prewarm(&mut self, snapshot: &MemoryHierarchy) {
-        debug_assert_eq!(self.mem.config(), snapshot.config());
-        self.mem.clone_from(snapshot);
+    /// Restores the memory hierarchy from `snapshot`, taken with
+    /// [`MemoryHierarchy::snapshot`] right after [`Self::prewarm`] on a
+    /// simulator with the same memory configuration, thread count,
+    /// profiles, seed and warm-up length. Call it in place of `prewarm` on
+    /// a freshly built or reset simulator: prewarm touches nothing but the
+    /// memory hierarchy (caches, TLBs and the fills still in flight at
+    /// cycle 0), so the restored machine behaves identically to a
+    /// prewarmed one.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`RestoreError`], leaving the simulator untouched, when
+    /// the snapshot's memory configuration or thread count differs from
+    /// the simulator's.
+    pub fn restore_prewarm(&mut self, snapshot: &MemorySnapshot) -> Result<(), RestoreError> {
+        self.mem.restore(snapshot)
     }
 
     /// Runs `n` cycles, fast-forwarding through spans where every thread

@@ -172,6 +172,38 @@ fn try_new_builds_the_same_machine_as_new() {
     assert_eq!(a.result(), b.result());
 }
 
+#[test]
+fn restore_prewarm_rejects_another_memory_config() {
+    let mut other = SimConfig::baseline(2);
+    other.mem.memory_latency = 100;
+    let profiles = [
+        spec::profile("gzip").unwrap(),
+        spec::profile("mcf").unwrap(),
+    ];
+    let mut warm = Simulator::new(other, &profiles, RoundRobin::default(), 7);
+    warm.prewarm(5_000);
+    let mut s = sim(&["gzip", "mcf"], RoundRobin::default());
+    assert_eq!(
+        s.restore_prewarm(&warm.memory().snapshot()),
+        Err(RestoreError::Config)
+    );
+    assert_eq!(s.memory().config(), &SimConfig::baseline(2).mem);
+}
+
+#[test]
+fn restore_prewarm_rejects_another_thread_count() {
+    let mut warm = sim(&["gzip"], RoundRobin::default());
+    warm.prewarm(5_000);
+    let mut s = sim(&["gzip", "mcf"], RoundRobin::default());
+    assert_eq!(
+        s.restore_prewarm(&warm.memory().snapshot()),
+        Err(RestoreError::ThreadCount {
+            threads: 2,
+            snapshot: 1,
+        })
+    );
+}
+
 /// Fills `tid`'s fetch queue to its configured capacity with real decoded
 /// instructions (mirroring what the fetch stage would do), so the
 /// full-queue fetch path can be exercised directly.
