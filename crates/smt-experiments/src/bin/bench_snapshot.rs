@@ -85,9 +85,9 @@ fn measure(policy: &PolicyKind, cycles: u64, reps: usize) -> f64 {
 }
 
 /// Per-stage cycle-cost breakdown: runs every policy for `cycles` cycles
-/// through [`Simulator::run_cycles_profiled`] (the fast-forwarding loop,
-/// i.e. exactly what `run_cycles` executes) and accumulates one aggregate
-/// [`StageProfile`], so the snapshot records where the cycle loop spends
+/// through [`Simulator::run`] with a [`StageProfile`] probe (the
+/// fast-forwarding loop, i.e. exactly what `run_cycles` executes) into one
+/// aggregate profile, so the snapshot records where the cycle loop spends
 /// its time (and future PRs can see which stage an optimisation moved).
 /// `skipped` counts the cycles covered by fast-forward jumps.
 ///
@@ -112,7 +112,7 @@ fn measure_stage_breakdown(cycles: u64) -> StageProfile {
         sim.reset(&profiles, policy.build(), 42);
         sim.prewarm(20_000);
         sim.run_cycles(2_000);
-        sim.run_cycles_profiled(cycles, &mut profile);
+        let Ok(()) = sim.run(cycles, &mut profile);
     }
     profile
 }

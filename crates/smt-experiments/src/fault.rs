@@ -64,8 +64,8 @@ pub enum RunError {
     },
 }
 
-impl RunError {
-    pub(crate) fn from_breach(breach: BudgetBreach) -> Self {
+impl From<BudgetBreach> for RunError {
+    fn from(breach: BudgetBreach) -> Self {
         match breach {
             BudgetBreach::CycleCap {
                 limit, committed, ..

@@ -189,6 +189,16 @@ impl RunSpec {
         self
     }
 
+    /// Takes the run lengths and the seed from `lengths`: its
+    /// `prewarm_insts`, `warmup_cycles`, `measure_cycles` and `seed`.
+    pub fn with_lengths_of(mut self, lengths: &RunSpec) -> Self {
+        self.prewarm_insts = lengths.prewarm_insts;
+        self.warmup_cycles = lengths.warmup_cycles;
+        self.measure_cycles = lengths.measure_cycles;
+        self.seed = lengths.seed;
+        self
+    }
+
     fn profiles(&self) -> Result<Vec<&BenchmarkProfile>, RunError> {
         match &self.profile_overrides {
             Some(overrides) => {
@@ -368,23 +378,14 @@ impl SimSession {
             ),
         };
         prewarm.prewarm(sim, spec, &profiles)?;
-        let budget = spec.budget.unwrap_or_default();
-        if budget.is_unlimited() {
-            sim.run_cycles(spec.warmup_cycles);
-            sim.reset_stats();
-            sim.run_cycles(spec.measure_cycles);
-        } else {
-            // One watchdog spans warm-up and measurement, so the cycle cap
-            // bounds the whole run. A breach leaves the simulator in the
-            // session: its allocations are fine, and the next run's
-            // `reset` restores a clean machine.
-            let mut watch = CommitWatchdog::new(budget);
-            sim.run_cycles_budgeted(spec.warmup_cycles, &mut watch)
-                .map_err(RunError::from_breach)?;
-            sim.reset_stats();
-            sim.run_cycles_budgeted(spec.measure_cycles, &mut watch)
-                .map_err(RunError::from_breach)?;
-        }
+        // One watchdog spans warm-up and measurement, so the cycle cap
+        // bounds the whole run. A breach leaves the simulator in the
+        // session: its allocations are fine, and the next run's `reset`
+        // restores a clean machine.
+        let mut watch = CommitWatchdog::new(spec.budget.unwrap_or_default());
+        sim.run(spec.warmup_cycles, &mut watch)?;
+        sim.reset_stats();
+        sim.run(spec.measure_cycles, &mut watch)?;
         let mem = (0..spec.benches.len())
             .map(|i| sim.memory().thread_stats(ThreadId::new(i)))
             .collect();
@@ -431,31 +432,35 @@ pub fn default_workers() -> usize {
         .unwrap_or(4)
 }
 
-/// Cache key for single-thread baseline IPCs: the benchmark plus the
-/// *complete* machine configuration it ran on (normalised to one thread,
-/// which is how baselines are measured). Deriving the key from the full
-/// [`SimConfig`] means configs differing in ROB size, cache geometry or any
-/// other field can never collide — the old string key hashed only four
-/// fields and silently returned wrong baselines for the rest.
+/// Cache key for single-thread baseline IPCs: everything the one-thread
+/// ICOUNT baseline run is a function of. That is the benchmark, the
+/// *complete* machine configuration (normalised to one thread, which is
+/// how baselines are measured), the three run lengths and the seed. A
+/// key without the lengths would hand a sweep the baselines an earlier
+/// sweep measured at other lengths on the same [`Runner`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct BaselineKey {
     bench: String,
     config: SimConfig,
+    prewarm_insts: u64,
+    warmup_cycles: u64,
+    measure_cycles: u64,
+    seed: u64,
 }
 
 /// The baseline cache key of `bench` on `config` and the one-thread ICOUNT
 /// spec that measures it.
 fn baseline_spec(bench: &str, config: &SimConfig, lengths: &RunSpec) -> (BaselineKey, RunSpec) {
-    let mut single = config.clone();
-    single.threads = 1;
-    let mut spec = RunSpec::new(&[bench], PolicyKind::Icount);
-    spec.config = single.clone();
-    spec.prewarm_insts = lengths.prewarm_insts;
-    spec.warmup_cycles = lengths.warmup_cycles;
-    spec.measure_cycles = lengths.measure_cycles;
+    let spec = RunSpec::new(&[bench], PolicyKind::Icount)
+        .with_config(config.clone())
+        .with_lengths_of(lengths);
     let key = BaselineKey {
         bench: bench.to_string(),
-        config: single,
+        config: spec.config.clone(),
+        prewarm_insts: spec.prewarm_insts,
+        warmup_cycles: spec.warmup_cycles,
+        measure_cycles: spec.measure_cycles,
+        seed: spec.seed,
     };
     (key, spec)
 }
@@ -727,7 +732,8 @@ impl Runner {
     }
 
     /// Single-thread baseline IPC of `bench` on `config` (ICOUNT, full
-    /// machine), cached per (bench, complete one-thread machine config).
+    /// machine) at the lengths and seed of `lengths`, cached per (bench,
+    /// complete one-thread machine config, lengths, seed).
     pub fn single_ipc(
         &self,
         bench: &str,
@@ -1183,6 +1189,31 @@ mod tests {
             ipc_full, ipc_small_l2,
             "cache geometry must be part of the baseline key"
         );
+    }
+
+    #[test]
+    fn baseline_cache_keys_on_run_lengths_and_seed() {
+        // Regression: the key was (bench, config), so a Runner that had
+        // measured mcf at lengths A handed that value back for lengths B.
+        let cfg = SimConfig::baseline(2);
+        let a = tiny(&["mcf"], PolicyKind::Icount);
+        let mut b = a.clone();
+        b.prewarm_insts = 40_000;
+        b.measure_cycles = 15_000;
+        let mut c = a.clone();
+        c.seed = 7;
+        let shared = Runner::new();
+        let ipc_a = shared.single_ipc("mcf", &cfg, &a).expect("known bench");
+        for lengths in [&b, &c] {
+            let fresh = Runner::new()
+                .single_ipc("mcf", &cfg, lengths)
+                .expect("known bench");
+            let reused = shared
+                .single_ipc("mcf", &cfg, lengths)
+                .expect("known bench");
+            assert_eq!(reused, fresh, "stale baseline for {lengths:?}");
+            assert_ne!(reused, ipc_a, "lengths must change the baseline");
+        }
     }
 
     #[test]

@@ -84,7 +84,8 @@ impl PolicySweep {
 }
 
 /// Runs `policy` over every Table-4 workload on `config` and aggregates per
-/// class. `lengths` provides the prewarm/warmup/measure cycle counts.
+/// class. `lengths` provides the prewarm/warmup/measure cycle counts and
+/// the seed.
 ///
 /// Individual workload failures land in [`PolicySweep::failures`] and are
 /// skipped by the class averages; the call itself only fails when the
@@ -117,11 +118,9 @@ pub fn sweep_policy_threads(
     let specs: Vec<RunSpec> = workloads
         .iter()
         .map(|w| {
-            let mut s = RunSpec::for_workload(w, policy.clone()).with_config(config.clone());
-            s.prewarm_insts = lengths.prewarm_insts;
-            s.warmup_cycles = lengths.warmup_cycles;
-            s.measure_cycles = lengths.measure_cycles;
-            s
+            RunSpec::for_workload(w, policy.clone())
+                .with_config(config.clone())
+                .with_lengths_of(lengths)
         })
         .collect();
 
@@ -296,6 +295,38 @@ mod tests {
             assert!(m.mlp.is_finite());
         }
         assert!(sweep.average().throughput.is_finite());
+    }
+
+    #[test]
+    fn sweep_runs_at_the_lengths_seed() {
+        // Regression: sweeps copied only the three lengths and ran every
+        // workload at the default seed 42.
+        let runner = Runner::new();
+        let mut lengths = sweep_lengths();
+        lengths.prewarm_insts = 2_000;
+        lengths.warmup_cycles = 200;
+        lengths.measure_cycles = 1_000;
+        lengths.seed = 7;
+        let config = SimConfig::baseline(2);
+        let sweep = sweep_policy_threads(&runner, &PolicyKind::Icount, &config, &lengths, &[2])
+            .expect("baselines must measure");
+        let mem2: Vec<Workload> = table4_workloads()
+            .into_iter()
+            .filter(|w| w.threads() == 2 && w.kind == WorkloadType::Mem)
+            .collect();
+        let throughput = mem2
+            .iter()
+            .map(|w| {
+                let spec = RunSpec {
+                    benches: w.benchmarks.clone(),
+                    config: config.clone(),
+                    ..lengths.clone()
+                };
+                runner.run(&spec).expect("registry benchmarks").throughput()
+            })
+            .sum::<f64>()
+            / mem2.len() as f64;
+        assert_eq!(sweep.class(2, WorkloadType::Mem).throughput, throughput);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 use crate::fault::RunError;
 use crate::tables::TextTable;
 use smt_isa::ThreadId;
-use smt_sim::{SimConfig, Simulator};
+use smt_sim::{Probe, SimConfig, Simulator};
 use smt_workloads::{spec, workloads_of, WorkloadType};
+use std::convert::Infallible;
 
 /// Phase-combination shares for one workload class, in percent.
 #[derive(Debug, Clone, Copy)]
@@ -49,6 +50,31 @@ pub const PAPER: [(WorkloadType, PhaseDistribution); 3] = [
     ),
 ];
 
+/// Table 5's probe: cycles spent in each phase combination of a 2-thread
+/// machine (slow/slow, mixed, fast/fast). Weighting each sample by the
+/// cycles it covers is exact: a fast-forward span ends before any L1-data
+/// fill could change a thread's pending-miss count.
+#[derive(Debug, Default, PartialEq)]
+struct PhaseSampler {
+    counts: [u64; 3],
+}
+
+impl Probe for PhaseSampler {
+    type Breach = Infallible;
+
+    fn probe(&mut self, sim: &Simulator, cycles: u64) -> Result<(), Infallible> {
+        let slow0 = sim.thread_l1d_pending(ThreadId::new(0)) > 0;
+        let slow1 = sim.thread_l1d_pending(ThreadId::new(1)) > 0;
+        let idx = match (slow0, slow1) {
+            (true, true) => 0,
+            (false, false) => 2,
+            _ => 1,
+        };
+        self.counts[idx] += cycles;
+        Ok(())
+    }
+}
+
 /// Samples the phase combination every cycle for all four groups of each
 /// 2-thread workload class.
 ///
@@ -61,7 +87,7 @@ pub const PAPER: [(WorkloadType, PhaseDistribution); 3] = [
 pub fn run(cycles_per_workload: u64) -> Result<Vec<(WorkloadType, PhaseDistribution)>, RunError> {
     let mut rows = Vec::with_capacity(WorkloadType::ALL.len());
     for &kind in WorkloadType::ALL.iter() {
-        let mut counts = [0u64; 3];
+        let mut sampler = PhaseSampler::default();
         for w in workloads_of(kind, 2) {
             let profiles = w
                 .benchmarks
@@ -77,18 +103,9 @@ pub fn run(cycles_per_workload: u64) -> Result<Vec<(WorkloadType, PhaseDistribut
                     })?;
             sim.prewarm(300_000);
             sim.run_cycles(20_000);
-            for _ in 0..cycles_per_workload {
-                sim.step();
-                let slow0 = sim.thread_l1d_pending(ThreadId::new(0)) > 0;
-                let slow1 = sim.thread_l1d_pending(ThreadId::new(1)) > 0;
-                let idx = match (slow0, slow1) {
-                    (true, true) => 0,
-                    (false, false) => 2,
-                    _ => 1,
-                };
-                counts[idx] += 1;
-            }
+            let Ok(()) = sim.run(cycles_per_workload, &mut sampler);
         }
+        let counts = sampler.counts;
         let total: u64 = counts.iter().sum();
         let pct = |c: u64| 100.0 * c as f64 / total.max(1) as f64;
         rows.push((
@@ -168,5 +185,37 @@ mod tests {
             let sum = d.slow_slow + d.mixed + d.fast_fast;
             assert!((sum - 100.0).abs() < 1e-6, "shares must sum to 100");
         }
+    }
+
+    /// The phase probe on the fast-forwarding loop counts exactly what it
+    /// counts sampling every cycle of the stepped loop.
+    #[test]
+    fn phase_probe_matches_a_stepped_sampler() {
+        let w = workloads_of(WorkloadType::Mem, 2).remove(0);
+        let warmed = || {
+            let profiles: Vec<_> = w
+                .benchmarks
+                .iter()
+                .map(|b| spec::profile(b).unwrap())
+                .collect();
+            let mut sim =
+                Simulator::new(SimConfig::baseline(2), &profiles, smt_policies::Icount, 42);
+            sim.prewarm(100_000);
+            sim.run_cycles(20_000);
+            sim
+        };
+        let cycles = 30_000;
+        let mut reference = PhaseSampler::default();
+        let mut stepped = warmed();
+        for _ in 0..cycles {
+            stepped.step();
+            let Ok(()) = reference.probe(&stepped, 1);
+        }
+        let mut sampler = PhaseSampler::default();
+        let mut fast = warmed();
+        let Ok(()) = fast.run(cycles, &mut sampler);
+        assert_eq!(sampler, reference, "{:?}", w.benchmarks);
+        assert_eq!(sampler.counts.iter().sum::<u64>(), cycles);
+        assert_eq!(stepped.result(), fast.result());
     }
 }

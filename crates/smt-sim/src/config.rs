@@ -214,17 +214,16 @@ impl SimConfig {
     }
 }
 
-/// Per-run execution budget, enforced by
-/// [`Simulator::run_cycles_budgeted`](crate::Simulator::run_cycles_budgeted)
-/// through a [`CommitWatchdog`](crate::watch::CommitWatchdog).
+/// Per-run execution budget, enforced by a
+/// [`CommitWatchdog`](crate::watch::CommitWatchdog) probe on
+/// [`Simulator::run`](crate::Simulator::run).
 ///
 /// A budget bounds how far a single run may go before it is declared
 /// broken: `max_cycles` caps the absolute cycle count of the run, and
 /// `livelock_window` demands at least one committed instruction per
-/// window of cycles. Both limits are observational — the budgeted cycle
-/// loop steps the machine exactly like
-/// [`Simulator::run_cycles`](crate::Simulator::run_cycles), so a run that
-/// stays inside its budget is bit-identical to an unbudgeted run.
+/// window of cycles. Both limits are observational — the watchdog only
+/// reads the clock and the commit counters — so a run that stays inside
+/// its budget is bit-identical to an unbudgeted run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RunBudget {
     /// Hard cap on the run's total cycle count (`None` = unlimited). The

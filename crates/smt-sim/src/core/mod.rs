@@ -1,8 +1,9 @@
 //! The cycle-level SMT simulator core, as a staged pipeline.
 //!
 //! Each pipeline stage lives in its own module and owns its slice of the
-//! machine behind a narrow interface, so the per-cycle loop in
-//! [`Simulator::step`] reads as the pipeline diagram:
+//! machine behind a narrow interface, so the stage sequence in
+//! [`Simulator::step`] reads as the pipeline diagram, and the one run
+//! loop, [`Simulator::run`], is a step, a fast-forward and a probe call:
 //!
 //! | module      | stage                                                    |
 //! |-------------|----------------------------------------------------------|
@@ -13,7 +14,8 @@
 //! | [`fetch`]   | I-cache access, branch prediction, fetch-queue fill      |
 //! | [`squash`]  | misprediction/flush recovery (shared by events + policy) |
 //! | [`rings`]   | the power-of-two seq-indexed ring storage they share     |
-//! | [`profile`] | per-stage wall-clock attribution for `bench_snapshot`    |
+//! | [`forward`] | multi-cycle jumps through idle spans, replaying charges  |
+//! | [`profile`] | the run loop's [`Probe`] hooks; `StageProfile` timing    |
 //!
 //! Every stage is *batched*: it processes per-thread bursts (contiguous
 //! sequence-number runs) with thread-invariant state hoisted out of the
@@ -34,12 +36,13 @@ pub(crate) mod profile;
 pub(crate) mod rings;
 pub(crate) mod squash;
 
-pub use profile::StageProfile;
+pub use profile::{Probe, Stage, StageProfile};
 
 use crate::config::SimConfig;
 use crate::policy::{AnyPolicy, CycleView, Policy};
 use crate::stats::{SimResult, ThreadStats};
 use crate::thread::ThreadState;
+use crate::watch::{BudgetBreach, CommitWatchdog};
 use events::{EventWheel, ReadyEntry};
 use smt_bpred::BranchPredictor;
 use smt_isa::{InstClass, PerResource, ThreadId};
@@ -405,30 +408,36 @@ impl Simulator {
         self.mem.restore(snapshot)
     }
 
-    /// Runs `n` cycles, fast-forwarding through spans where every thread
-    /// is stalled (the `core/forward` module). Bit-identical to
-    /// [`Self::run_cycles_stepped`] — the golden determinism suite and the
-    /// stepped-vs-fast-forward property test pin this — but far faster on
-    /// memory-bound workloads, where most cycles are empty waits on L2/
-    /// memory fills.
-    pub fn run_cycles(&mut self, n: u64) {
+    /// Runs `n` cycles, the simulator's one run loop: each iteration steps
+    /// one cycle, fast-forwards through the idle span after it (the
+    /// `core/forward` module), then calls [`Probe::probe`] once with the
+    /// cycles covered. Bit-identical to [`Self::run_cycles_stepped`] (the
+    /// determinism suite and the fast-forward property test pin this) and
+    /// far faster on memory-bound workloads.
+    ///
+    /// # Errors
+    ///
+    /// Returns the probe's first breach. It is detected between
+    /// iterations, so the simulator is left in a consistent mid-run state.
+    pub fn run<P: Probe>(&mut self, n: u64, probe: &mut P) -> Result<(), P::Breach> {
         let end = self.now + n;
         while self.now < end {
-            self.step();
+            let start = self.now;
+            self.step_marked(probe);
             self.fast_forward(end);
+            probe.mark(Stage::Forward);
+            probe.probe(self, self.now - start)?;
         }
+        Ok(())
     }
 
-    /// [`Self::run_cycles`] under a
-    /// [`CommitWatchdog`](crate::watch::CommitWatchdog): identical stepping
-    /// (step + fast-forward, so in-budget runs are bit-identical to
-    /// [`Self::run_cycles`] — the budget suite pins this), but every
-    /// executed cycle is reported to the watchdog, which converts a cycle
-    /// cap or commit-progress violation into an early
-    /// [`BudgetBreach`](crate::watch::BudgetBreach) return. On breach the
-    /// simulator is left in a consistent mid-run state (the breach is
-    /// detected between cycles, never inside one); the caller decides
-    /// whether to salvage partial statistics or discard the run.
+    /// Runs `n` cycles unobserved: [`Self::run`] with the no-op probe.
+    pub fn run_cycles(&mut self, n: u64) {
+        let Ok(()) = self.run(n, &mut ());
+    }
+
+    /// [`Self::run`] under a [`CommitWatchdog`], kept under this name for
+    /// `perfbench/benches/phases.rs`.
     ///
     /// # Errors
     ///
@@ -436,23 +445,15 @@ impl Simulator {
     pub fn run_cycles_budgeted(
         &mut self,
         n: u64,
-        watch: &mut crate::watch::CommitWatchdog,
-    ) -> Result<(), crate::watch::BudgetBreach> {
-        let end = self.now + n;
-        while self.now < end {
-            self.step();
-            self.fast_forward(end);
-            watch.observe(self.now, || self.committed_total())?;
-        }
-        Ok(())
+        watch: &mut CommitWatchdog,
+    ) -> Result<(), BudgetBreach> {
+        self.run(n, watch)
     }
 
-    /// Total instructions committed in the current measurement interval
-    /// (since construction, [`Self::reset`] or [`Self::reset_stats`]),
-    /// summed over threads. The commit-progress signal the
-    /// [`CommitWatchdog`](crate::watch::CommitWatchdog) samples.
-    pub fn committed_total(&self) -> u64 {
-        self.stats.iter().map(|s| s.committed).sum()
+    /// [`Self::run`] under a [`StageProfile`], kept under this name for
+    /// `perfbench/benches/phases.rs`.
+    pub fn run_cycles_profiled(&mut self, n: u64, profile: &mut StageProfile) {
+        let Ok(()) = self.run(n, profile);
     }
 
     /// Reference implementation of [`Self::run_cycles`]: one [`Self::step`]
@@ -462,19 +463,6 @@ impl Simulator {
     pub fn run_cycles_stepped(&mut self, n: u64) {
         for _ in 0..n {
             self.step();
-        }
-    }
-
-    /// Runs until every thread has committed at least `insts` instructions
-    /// since the last [`Self::reset_stats`], or `max_cycles` elapse.
-    /// Fast-forwards like [`Self::run_cycles`]; commits only happen on
-    /// stepped cycles, so the stopping cycle is identical to the stepped
-    /// loop's.
-    pub fn run_until_committed(&mut self, insts: u64, max_cycles: u64) {
-        let limit = self.now + max_cycles;
-        while self.now < limit && self.stats.iter().any(|s| s.committed < insts) {
-            self.step();
-            self.fast_forward(limit);
         }
     }
 
@@ -518,6 +506,12 @@ impl Simulator {
     /// policy view, fetch order, ready lists and MLP sample buffer are all
     /// long-lived buffers reused across cycles.
     pub fn step(&mut self) {
+        self.step_marked(&mut ());
+    }
+
+    /// [`Self::step`], reporting each stage boundary to [`Probe::mark`].
+    fn step_marked<P: Probe>(&mut self, probe: &mut P) {
+        probe.mark(Stage::Start);
         let mut view = std::mem::take(&mut self.cycle_view);
         let mut order = std::mem::take(&mut self.order_scratch);
         self.idle = IdleTrack::default();
@@ -525,16 +519,23 @@ impl Simulator {
         self.policy.begin_cycle(&view);
         order.clear();
         self.policy.fetch_order(&view, &mut order);
+        probe.mark(Stage::Policy);
 
         self.drain_events();
+        probe.mark(Stage::Events);
         self.commit();
+        probe.mark(Stage::Commit);
         self.issue();
+        probe.mark(Stage::Issue);
         self.dispatch(&order);
+        probe.mark(Stage::Dispatch);
         self.fetch(&order, &view);
+        probe.mark(Stage::Fetch);
         self.sample_mlp();
         self.now += 1;
         self.cycle_view = view;
         self.order_scratch = order;
+        probe.mark(Stage::Other);
     }
 
     pub(crate) fn sample_mlp(&mut self) {
@@ -548,12 +549,6 @@ impl Simulator {
         }
     }
 
-    /// Current pre-issue instruction count of a thread — the quantity the
-    /// ICOUNT fetch policy ranks threads by.
-    pub fn thread_icount(&self, t: ThreadId) -> u32 {
-        self.threads[t.index()].pre_issue
-    }
-
     /// Current per-thread occupancy of each controlled resource — the
     /// hardware usage counters of the paper's Section 3.4. Sampled by
     /// [`crate::watch::OccupancyRecorder`].
@@ -561,14 +556,8 @@ impl Simulator {
         self.usage[t.index()]
     }
 
-    /// `true` while the given thread's trace reports a memory phase
-    /// (ground truth for the Table-5 experiment).
-    pub fn thread_in_memory_phase(&self, t: ThreadId) -> bool {
-        self.threads[t.index()].trace().in_memory_phase()
-    }
-
     /// The thread's pending L1-data-miss count (the paper's slow/fast phase
-    /// signal, Section 3.1.1).
+    /// signal, Section 3.1.1, which Table 5 reports).
     pub fn thread_l1d_pending(&self, t: ThreadId) -> u32 {
         self.threads[t.index()].l1d_pending
     }

@@ -1,18 +1,86 @@
-//! Per-stage wall-clock attribution for the cycle loop.
-//!
-//! [`Simulator::step_profiled`] runs the identical stage sequence as
-//! [`Simulator::step`], wrapping each stage in a monotonic-clock pair and
-//! accumulating the elapsed time into a [`StageProfile`]. It exists for
-//! instrumentation binaries (`bench_snapshot` records the percentage
-//! breakdown into `BENCH_core.json` so future optimisation PRs can see
-//! where batching paid off); the unprofiled `step` stays free of timer
-//! calls.
+//! Run observation: the [`Probe`] hooks of [`Simulator::run`], and the
+//! per-stage wall-clock attribution probe [`StageProfile`].
 
 use super::Simulator;
-use crate::policy::Policy;
+use std::convert::Infallible;
 use std::time::{Duration, Instant};
 
-/// Accumulated wall-clock time per pipeline stage of the cycle loop.
+/// A boundary in one iteration of [`Simulator::run`], reported to
+/// [`Probe::mark`] in this order. Each but `Start` ends the part of the
+/// iteration timed by the [`StageProfile`] field of the same name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// [`Simulator::step`] begins.
+    Start,
+    /// View refresh, `begin_cycle` and `fetch_order` are done.
+    Policy,
+    /// The event drain is done.
+    Events,
+    /// The commit stage is done.
+    Commit,
+    /// The issue stage is done.
+    Issue,
+    /// The dispatch stage is done.
+    Dispatch,
+    /// The fetch stage is done.
+    Fetch,
+    /// MLP sampling and cycle bookkeeping are done; `step` returns.
+    Other,
+    /// The fast-forward jump after the step is done.
+    Forward,
+}
+
+/// An observer of [`Simulator::run`].
+///
+/// After each stepped cycle and the fast-forward span that follows it,
+/// `run` calls [`Probe::probe`] once with the cycles the iteration
+/// covered: `1 + skipped`. Weighting a sample by that count is exact: a
+/// fast-forward span ends before any event, MSHR fill, I-cache or
+/// dispatch deadline, so no state a probe can read (per-thread usage,
+/// pending misses) changes inside it. A closure
+/// `|sim: &Simulator, cycles: u64| ...` is a probe that never breaches.
+pub trait Probe {
+    /// Why a probe stops a run ([`Infallible`] for probes that never do).
+    type Breach;
+
+    /// Observes the machine after one iteration of the run loop that
+    /// advanced the clock by `cycles`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a breach to stop the run.
+    fn probe(&mut self, sim: &Simulator, cycles: u64) -> Result<(), Self::Breach>;
+
+    /// Called as each [`Stage`] of the iteration finishes. Does nothing
+    /// unless the probe times stages.
+    #[inline(always)]
+    fn mark(&mut self, _stage: Stage) {}
+}
+
+/// The no-op probe: [`Simulator::run`] with `&mut ()` is the plain
+/// fast-forwarding loop of [`Simulator::run_cycles`].
+impl Probe for () {
+    type Breach = Infallible;
+
+    #[inline(always)]
+    fn probe(&mut self, _sim: &Simulator, _cycles: u64) -> Result<(), Infallible> {
+        Ok(())
+    }
+}
+
+impl<F: FnMut(&Simulator, u64)> Probe for F {
+    type Breach = Infallible;
+
+    fn probe(&mut self, sim: &Simulator, cycles: u64) -> Result<(), Infallible> {
+        self(sim, cycles);
+        Ok(())
+    }
+}
+
+/// Accumulated wall-clock time per pipeline stage of the cycle loop: a
+/// [`Probe`] that reads the clock at every [`Stage`] mark. Simulation
+/// output is bit-identical to an unprofiled run; only speed differs (nine
+/// timer reads per loop iteration).
 ///
 /// `policy` covers the per-cycle policy work that precedes the stages
 /// (`begin_cycle` + `fetch_order` + the view refresh); `other` is the
@@ -23,7 +91,7 @@ pub struct StageProfile {
     /// `cycles` always equals simulated time.
     pub cycles: u64,
     /// Cycles covered by fast-forward jumps instead of steps (a subset of
-    /// `cycles`; only [`Simulator::run_cycles_profiled`] produces them).
+    /// `cycles`).
     pub skipped: u64,
     /// View refresh + `begin_cycle` + `fetch_order`.
     pub policy: Duration,
@@ -41,6 +109,8 @@ pub struct StageProfile {
     pub forward: Duration,
     /// MLP sampling and loop bookkeeping.
     pub other: Duration,
+    /// Clock reading at the last stage mark.
+    last_mark: Option<Instant>,
 }
 
 impl StageProfile {
@@ -80,67 +150,30 @@ impl StageProfile {
     }
 }
 
-impl Simulator {
-    /// Advances the machine one cycle exactly like [`Simulator::step`],
-    /// attributing each stage's wall-clock cost to `profile`. Simulation
-    /// output is bit-identical to `step`; only speed differs (six timer
-    /// reads per cycle).
-    pub fn step_profiled(&mut self, profile: &mut StageProfile) {
-        let mut view = std::mem::take(&mut self.cycle_view);
-        let mut order = std::mem::take(&mut self.order_scratch);
-        self.idle = super::IdleTrack::default();
-        let t0 = Instant::now();
-        self.fill_view(&mut view);
-        self.policy.begin_cycle(&view);
-        order.clear();
-        self.policy.fetch_order(&view, &mut order);
-        let t1 = Instant::now();
-        profile.policy += t1 - t0;
+impl Probe for StageProfile {
+    type Breach = Infallible;
 
-        self.drain_events();
-        let t2 = Instant::now();
-        profile.events += t2 - t1;
-
-        self.commit();
-        let t3 = Instant::now();
-        profile.commit += t3 - t2;
-
-        self.issue();
-        let t4 = Instant::now();
-        profile.issue += t4 - t3;
-
-        self.dispatch(&order);
-        let t5 = Instant::now();
-        profile.dispatch += t5 - t4;
-
-        self.fetch(&order, &view);
-        let t6 = Instant::now();
-        profile.fetch += t6 - t5;
-
-        self.sample_mlp();
-        self.now += 1;
-        self.cycle_view = view;
-        self.order_scratch = order;
-        profile.other += t6.elapsed();
-        profile.cycles += 1;
+    fn probe(&mut self, _sim: &Simulator, cycles: u64) -> Result<(), Infallible> {
+        self.cycles += cycles;
+        self.skipped += cycles - 1;
+        Ok(())
     }
 
-    /// Profiled equivalent of [`Simulator::run_cycles`]: per-stage
-    /// attribution via [`Simulator::step_profiled`], with fast-forward
-    /// jumps timed into [`StageProfile::forward`] and the skipped cycles
-    /// counted in [`StageProfile::skipped`]. Simulation output is
-    /// bit-identical to `run_cycles`.
-    pub fn run_cycles_profiled(&mut self, n: u64, profile: &mut StageProfile) {
-        let end = self.now + n;
-        while self.now < end {
-            self.step_profiled(profile);
-            let before = self.now;
-            let t0 = Instant::now();
-            self.fast_forward(end);
-            profile.forward += t0.elapsed();
-            let jumped = self.now - before;
-            profile.cycles += jumped;
-            profile.skipped += jumped;
-        }
+    fn mark(&mut self, stage: Stage) {
+        let now = Instant::now();
+        let since = self.last_mark.map_or(Duration::ZERO, |t| now - t);
+        self.last_mark = Some(now);
+        let bucket = match stage {
+            Stage::Start => return,
+            Stage::Policy => &mut self.policy,
+            Stage::Events => &mut self.events,
+            Stage::Commit => &mut self.commit,
+            Stage::Issue => &mut self.issue,
+            Stage::Dispatch => &mut self.dispatch,
+            Stage::Fetch => &mut self.fetch,
+            Stage::Other => &mut self.other,
+            Stage::Forward => &mut self.forward,
+        };
+        *bucket += since;
     }
 }

@@ -90,22 +90,12 @@ fn mispredictions_block_fetch_but_do_not_refetch() {
 }
 
 #[test]
-fn run_until_committed_stops_early() {
-    let mut s = sim(&["gzip"], RoundRobin::default());
-    s.run_until_committed(1_000, 1_000_000);
-    assert!(s.result().threads[0].committed >= 1_000);
-    assert!(s.now() < 1_000_000);
-}
-
-#[test]
-fn profiled_step_is_bit_identical_to_step() {
+fn stage_profile_run_is_bit_identical_to_run_cycles() {
     let mut plain = sim(&["mcf", "gzip"], RoundRobin::default());
     let mut profiled = sim(&["mcf", "gzip"], RoundRobin::default());
     let mut prof = StageProfile::default();
-    for _ in 0..20_000 {
-        plain.step();
-        profiled.step_profiled(&mut prof);
-    }
+    plain.run_cycles(20_000);
+    let Ok(()) = profiled.run(20_000, &mut prof);
     assert_eq!(plain.result(), profiled.result());
     assert_eq!(prof.cycles, 20_000);
     assert!(prof.total().as_nanos() > 0);
@@ -303,7 +293,7 @@ fn icache_miss_consumes_exactly_one_fetch_slot() {
 fn fast_forward_skips_cycles_on_stalled_workloads() {
     // A memory-bound mix under a stalling policy spends most cycles with
     // every thread blocked; the fast-forward path must cover a large
-    // share of them (observable through the profiled runner's `skipped`
+    // share of them (observable through the stage profile's `skipped`
     // counter) while producing the bit-identical result the equivalence
     // tests pin.
     let profiles = [spec::profile("mcf").unwrap(), spec::profile("art").unwrap()];
@@ -314,7 +304,7 @@ fn fast_forward_skips_cycles_on_stalled_workloads() {
         11,
     );
     let mut prof = StageProfile::default();
-    s.run_cycles_profiled(60_000, &mut prof);
+    let Ok(()) = s.run(60_000, &mut prof);
     assert_eq!(
         prof.cycles, 60_000,
         "profiled cycles count stepped + skipped"

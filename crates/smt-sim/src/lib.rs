@@ -19,8 +19,9 @@
 //! * [`policy`] — the policy interface and per-cycle machine view.
 //! * [`SimResult`]/[`ThreadStats`] — per-run statistics (IPC, front-end
 //!   activity, memory-level parallelism, ...).
-//! * [`StageProfile`] — per-stage wall-clock attribution for perf
-//!   tracking.
+//! * [`Probe`] — an observer of the run loop [`Simulator::run`]:
+//!   [`StageProfile`] (per-stage wall-clock attribution) and the
+//!   [`watch`] module's run budget and occupancy recorder.
 //!
 //! # Examples
 //!
@@ -30,14 +31,15 @@
 //! use smt_workloads::spec;
 //!
 //! let profiles = [spec::profile("gzip").unwrap(), spec::profile("mcf").unwrap()];
-//! let mut sim = Simulator::new(
+//! let mut sim = Simulator::try_new(
 //!     SimConfig::baseline(2),
 //!     &profiles,
 //!     RoundRobin::default(),
 //!     1,
-//! );
+//! )?;
 //! sim.run_cycles(10_000);
 //! println!("throughput = {:.2} IPC", sim.result().throughput());
+//! # Ok::<(), smt_sim::BuildError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -53,5 +55,5 @@ mod thread;
 pub mod watch;
 
 pub use config::{RunBudget, SimConfig};
-pub use core::{BuildError, Simulator, StageProfile};
+pub use core::{BuildError, Probe, Simulator, Stage, StageProfile};
 pub use stats::{SimResult, ThreadStats};

@@ -1,5 +1,7 @@
 //! Run observation: occupancy sampling for the paper's monopolization
 //! arguments, and the commit-progress watchdog behind per-run budgets.
+//! Both are [`Probe`]s of [`Simulator::run`], so observing a run keeps
+//! fast-forward on.
 //!
 //! [`OccupancyRecorder`] samples per-thread resource usage over time and
 //! summarises it (mean, peak, share of the total) — e.g. "after an L2 miss
@@ -12,10 +14,12 @@
 //! [`BudgetBreach`] instead of an unbounded spin.
 
 use crate::config::RunBudget;
-use crate::Simulator;
+use crate::{Probe, Simulator};
 use smt_isa::{PerResource, ResourceKind, ThreadId};
+use std::convert::Infallible;
 
-/// Accumulates per-cycle occupancy samples.
+/// Accumulates per-cycle occupancy samples: as a [`Probe`] of
+/// [`Simulator::run`], each sample is weighted by the cycles it covers.
 ///
 /// # Examples
 ///
@@ -25,15 +29,13 @@ use smt_isa::{PerResource, ResourceKind, ThreadId};
 /// use smt_workloads::spec;
 ///
 /// let profiles = [spec::profile("gzip").unwrap()];
-/// let mut sim = Simulator::new(SimConfig::baseline(1), &profiles,
-///                              RoundRobin::default(), 1);
+/// let mut sim = Simulator::try_new(SimConfig::baseline(1), &profiles,
+///                                  RoundRobin::default(), 1)?;
 /// let mut rec = OccupancyRecorder::new(1);
-/// for _ in 0..100 {
-///     sim.step();
-///     rec.sample(&sim);
-/// }
+/// let Ok(()) = sim.run(100, &mut rec);
 /// let report = rec.report();
 /// assert_eq!(report.cycles, 100);
+/// # Ok::<(), smt_sim::BuildError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct OccupancyRecorder {
@@ -52,48 +54,42 @@ impl OccupancyRecorder {
         }
     }
 
-    /// Records the current cycle's usage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulator has more threads than the recorder.
-    pub fn sample(&mut self, sim: &Simulator) {
-        self.cycles += 1;
-        for (tid, (sum, peak)) in self.sums.iter_mut().zip(&mut self.peaks).enumerate() {
-            let usage = sim.thread_usage(ThreadId::new(tid));
-            for kind in ResourceKind::ALL {
-                sum[kind] += u64::from(usage[kind]);
-                peak[kind] = peak[kind].max(usage[kind]);
-            }
-        }
-    }
-
     /// Produces the summary.
     pub fn report(&self) -> OccupancyReport {
+        // An empty recording has all-zero sums, so dividing by 1 gives 0.
+        let cycles = self.cycles.max(1) as f64;
         OccupancyReport {
             cycles: self.cycles,
             mean: self
                 .sums
                 .iter()
-                .map(|s| {
-                    let mut m = PerResource::<f64>::default();
-                    for kind in ResourceKind::ALL {
-                        m[kind] = if self.cycles == 0 {
-                            0.0
-                        } else {
-                            s[kind] as f64 / self.cycles as f64
-                        };
-                    }
-                    m
-                })
+                .map(|s| PerResource(s.0.map(|sum| sum as f64 / cycles)))
                 .collect(),
             peak: self.peaks.clone(),
         }
     }
 }
 
+impl Probe for OccupancyRecorder {
+    type Breach = Infallible;
+
+    /// Records the current usage as held for `cycles` cycles. Panics if
+    /// the simulator has more threads than the recorder.
+    fn probe(&mut self, sim: &Simulator, cycles: u64) -> Result<(), Infallible> {
+        self.cycles += cycles;
+        for (tid, (sum, peak)) in self.sums.iter_mut().zip(&mut self.peaks).enumerate() {
+            let usage = sim.thread_usage(ThreadId::new(tid));
+            for kind in ResourceKind::ALL {
+                sum[kind] += u64::from(usage[kind]) * cycles;
+                peak[kind] = peak[kind].max(usage[kind]);
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Summary of an occupancy recording.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OccupancyReport {
     /// Number of sampled cycles.
     pub cycles: u64,
@@ -183,15 +179,16 @@ impl std::fmt::Display for BudgetBreach {
 
 /// Enforces a [`RunBudget`] over a running simulation.
 ///
-/// Constructed once per run and fed every executed cycle through
-/// [`CommitWatchdog::observe`]; the simulator's
-/// [`run_cycles_budgeted`](crate::Simulator::run_cycles_budgeted) loop does
-/// this automatically. The watchdog is purely observational — it never
-/// mutates the simulator — so a run that stays within budget is
+/// Constructed once per run (spanning warm-up and measurement) and fed
+/// the clock after every iteration of the run loop through
+/// [`CommitWatchdog::observe`]; as a [`Probe`] of [`Simulator::run`] it
+/// does this automatically. The watchdog is purely observational — it
+/// never mutates the simulator — so a run that stays within budget is
 /// bit-identical to an unbudgeted run.
 ///
 /// The hot path is one `u64` compare: the commit counters are only summed
-/// at checkpoint cycles (the next budget deadline), never per cycle.
+/// at checkpoint cycles (the next budget deadline), never per cycle, and
+/// an unlimited budget never reaches a checkpoint.
 #[derive(Debug, Clone)]
 pub struct CommitWatchdog {
     budget: RunBudget,
@@ -218,11 +215,6 @@ impl CommitWatchdog {
         w
     }
 
-    /// The budget this watchdog enforces.
-    pub fn budget(&self) -> &RunBudget {
-        &self.budget
-    }
-
     fn update_next_check(&mut self) {
         self.next_check = self
             .budget
@@ -233,7 +225,7 @@ impl CommitWatchdog {
 
     /// Feeds one observation: the current cycle and a lazily-computed
     /// total of committed instructions. The closure is only invoked on
-    /// checkpoint cycles, so passing `|| sim.committed_total()` costs a
+    /// checkpoint cycles, so summing the commit counters in it costs a
     /// single compare on nearly every call.
     ///
     /// Commit counters may reset between observations (statistics resets
@@ -286,6 +278,15 @@ impl CommitWatchdog {
     }
 }
 
+impl Probe for CommitWatchdog {
+    type Breach = BudgetBreach;
+
+    #[inline]
+    fn probe(&mut self, sim: &Simulator, _cycles: u64) -> Result<(), BudgetBreach> {
+        self.observe(sim.now(), || sim.stats.iter().map(|s| s.committed).sum())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,10 +305,7 @@ mod tests {
         sim.prewarm(100_000);
         sim.run_cycles(5_000);
         let mut rec = OccupancyRecorder::new(benches.len());
-        for _ in 0..cycles {
-            sim.step();
-            rec.sample(&sim);
-        }
+        let Ok(()) = sim.run(cycles, &mut rec);
         rec.report()
     }
 

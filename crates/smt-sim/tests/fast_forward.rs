@@ -9,11 +9,14 @@
 //! (RR rotation, DCRA activity decay, FLUSH++ pressure windows) and the
 //! core replays per-cycle statistics (gated/blocked counters, MLP
 //! samples, the commit round-robin origin) arithmetically, so nothing
-//! observable may drift.
+//! observable may drift. The same holds for probes: a sample taken on the
+//! fast-forwarding loop, weighted by the cycles it covers, equals the
+//! per-cycle samples of the stepped loop.
 
 use proptest::prelude::*;
 use smt_sim::policy::AnyPolicy;
-use smt_sim::{SimConfig, SimResult, Simulator};
+use smt_sim::watch::OccupancyRecorder;
+use smt_sim::{Probe, SimConfig, SimResult, Simulator};
 use smt_workloads::spec;
 
 /// The nine canonical policies, freshly built (policies are stateful).
@@ -101,30 +104,48 @@ proptest! {
             );
         }
     }
+}
 
-    /// `run_until_committed` fast-forwards too; its stopping cycle and
-    /// statistics must match a stepped reference loop.
-    #[test]
-    fn run_until_committed_matches_stepped(
-        seed in 0u64..500,
-        insts in 100u64..800,
-    ) {
-        let profiles = [
-            spec::profile("mcf").unwrap(),
-            spec::profile("art").unwrap(),
-        ];
-        let cfg = SimConfig::baseline(2);
-        let policy = || AnyPolicy::from(smt_policies::Stall);
-        let mut fast = Simulator::new(cfg.clone(), &profiles, policy(), seed);
-        fast.run_until_committed(insts, 100_000);
+/// Weighting each probe sample by the cycles it covers is exact: an
+/// occupancy recording taken on the fast-forwarding loop equals one taken
+/// cycle by cycle on the stepped loop, for every policy.
+#[test]
+fn occupancy_probe_matches_a_stepped_recording_for_all_policies() {
+    let profiles = [spec::profile("mcf").unwrap(), spec::profile("art").unwrap()];
+    let cfg = SimConfig::baseline(2);
+    let cycles = 20_000;
+    for i in 0..policies().len() {
+        let (mut a, mut b) = (policies(), policies());
+        let (pol_a, pol_b) = (a.swap_remove(i), b.swap_remove(i));
+        let name = {
+            use smt_sim::policy::Policy as _;
+            pol_a.name().to_string()
+        };
+        let mut stepped = Simulator::new(cfg.clone(), &profiles, pol_a, 3);
+        let mut fast = Simulator::new(cfg.clone(), &profiles, pol_b, 3);
+        stepped.run_cycles_stepped(2_000);
+        fast.run_cycles(2_000);
 
-        let mut stepped = Simulator::new(cfg, &profiles, policy(), seed);
-        let limit = 100_000;
-        while stepped.now() < limit
-            && stepped.result().threads.iter().any(|t| t.committed < insts)
-        {
+        let mut reference = OccupancyRecorder::new(2);
+        for _ in 0..cycles {
             stepped.step();
+            let Ok(()) = reference.probe(&stepped, 1);
         }
-        prop_assert_eq!(digest(&stepped), digest(&fast));
+        // Count loop iterations alongside, to see the spans being covered.
+        let mut rec = OccupancyRecorder::new(2);
+        let mut iterations = 0;
+        let Ok(()) = fast.run(cycles, &mut |sim: &Simulator, covered| {
+            iterations += 1;
+            let Ok(()) = rec.probe(sim, covered);
+        });
+
+        assert_eq!(digest(&stepped), digest(&fast), "{name}: runs diverged");
+        assert_eq!(reference.report(), rec.report(), "{name}: reports differ");
+        if name == "STALL" {
+            assert!(
+                iterations < cycles,
+                "STALL on mcf+art must skip cycles, stepped all {cycles}"
+            );
+        }
     }
 }

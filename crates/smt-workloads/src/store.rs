@@ -18,9 +18,7 @@
 //!   cache-hot block buffers are recycled for the whole run.
 //!
 //! The store is bit-exact: replayed records unpack to precisely what
-//! [`TraceGenerator::next_inst`] streams, and the per-instruction
-//! memory-phase bits reproduce the generator's lazily-observed phase
-//! signal (see [`ThreadTrace::in_memory_phase`]).
+//! [`TraceGenerator::next_inst`] streams.
 
 use crate::generator::TraceGenerator;
 use crate::profile::BenchmarkProfile;
@@ -32,7 +30,6 @@ pub const TRACE_BLOCK: usize = 256;
 
 const BLOCK_SHIFT: u32 = TRACE_BLOCK.trailing_zeros();
 const BLOCK_MASK: u64 = TRACE_BLOCK as u64 - 1;
-const PHASE_WORDS: usize = TRACE_BLOCK / 64;
 
 /// One pre-generated block of [`TRACE_BLOCK`] consecutive instructions:
 /// the packed hot lane plus sidecar payload lanes indexed by
@@ -45,10 +42,6 @@ struct TraceBlock {
     insts: Vec<PackedInst>,
     mem: Vec<MemAccess>,
     branches: Vec<BranchInfo>,
-    /// Per-instruction memory-phase bit: the generator's phase *after*
-    /// generating that instruction (the signal the lazily-generating
-    /// pre-store code observed at its generation frontier).
-    phase: [u64; PHASE_WORDS],
 }
 
 impl TraceBlock {
@@ -59,8 +52,7 @@ impl TraceBlock {
         self.insts.clear();
         self.mem.clear();
         self.branches.clear();
-        self.phase = [0; PHASE_WORDS];
-        for i in 0..TRACE_BLOCK {
+        for _ in 0..TRACE_BLOCK {
             let d = gen.next_inst();
             debug_assert!(
                 d.mem.is_none() || d.branch.is_none(),
@@ -76,15 +68,7 @@ impl TraceBlock {
                 0
             };
             self.insts.push(PackedInst::pack(&d, aux as u16));
-            if gen.in_memory_phase() {
-                self.phase[i / 64] |= 1 << (i % 64);
-            }
         }
-    }
-
-    #[inline]
-    fn phase_bit(&self, off: usize) -> bool {
-        self.phase[off / 64] & (1 << (off % 64)) != 0
     }
 }
 
@@ -142,12 +126,6 @@ pub struct ThreadTrace {
     ring: Vec<TraceBlock>,
     /// Next block index to generate.
     next_block: u64,
-    /// One past the newest sequence number served to the current run —
-    /// the generation frontier the pre-store lazy path exposed, tracked
-    /// for [`ThreadTrace::in_memory_phase`].
-    requested_tip: u64,
-    /// The generator's phase before the first instruction.
-    initial_mem_phase: bool,
 }
 
 impl ThreadTrace {
@@ -163,11 +141,9 @@ impl ThreadTrace {
         let gen = TraceGenerator::new(profile, seed, slot);
         let ring_len = (max_lookback >> BLOCK_SHIFT) as usize + 2;
         ThreadTrace {
-            initial_mem_phase: gen.in_memory_phase(),
             gen,
             ring: vec![TraceBlock::default(); ring_len],
             next_block: 0,
-            requested_tip: 0,
         }
     }
 
@@ -177,9 +153,7 @@ impl ThreadTrace {
     /// read at or past the rewound frontier regenerates its block first.
     pub fn rebind(&mut self, profile: &BenchmarkProfile, seed: u64, slot: u64) {
         self.gen = TraceGenerator::new(profile, seed, slot);
-        self.initial_mem_phase = self.gen.in_memory_phase();
         self.next_block = 0;
-        self.requested_tip = 0;
     }
 
     /// The profile driving this trace.
@@ -193,29 +167,12 @@ impl ThreadTrace {
         self.gen.decorrelated(salt)
     }
 
-    /// `true` while the generation frontier of the *served* stream sits in
-    /// a memory phase — bit-identical to what the pre-store lazy path
-    /// reported: the generator's phase after generating the newest served
-    /// instruction (or the initial phase before anything was served).
-    /// Ground truth for the Table-5 experiment.
-    pub fn in_memory_phase(&self) -> bool {
-        if self.requested_tip == 0 {
-            return self.initial_mem_phase;
-        }
-        let seq = self.requested_tip - 1;
-        let block = self.block_ref(seq >> BLOCK_SHIFT);
-        block.phase_bit((seq & BLOCK_MASK) as usize)
-    }
-
     /// The packed record at `seq`, extending the generation frontier by
     /// whole blocks as needed. 16 bytes out of a contiguous lane — the
     /// burst-fetch hot call.
     #[inline]
     pub fn packed(&mut self, seq: u64) -> PackedInst {
-        let block = self.block(seq >> BLOCK_SHIFT);
-        let p = block.insts[(seq & BLOCK_MASK) as usize];
-        self.served(seq);
-        p
+        self.block(seq >> BLOCK_SHIFT).insts[(seq & BLOCK_MASK) as usize]
     }
 
     /// The fetch stage's hot read: the packed record at `seq` plus the
@@ -232,7 +189,6 @@ impl ThreadTrace {
         } else {
             0
         };
-        self.served(seq);
         (packed, addr)
     }
 
@@ -261,17 +217,11 @@ impl ThreadTrace {
         } else {
             (None, None)
         };
-        self.served(seq);
         TraceRecord {
             packed,
             mem,
             branch,
         }
-    }
-
-    #[inline]
-    fn served(&mut self, seq: u64) {
-        self.requested_tip = self.requested_tip.max(seq + 1);
     }
 
     /// Resident block `b`, generating forward to materialise it if needed.
@@ -287,7 +237,7 @@ impl ThreadTrace {
     }
 
     /// Resident block `b` without generating (the block must already be
-    /// materialised — used by phase queries on the served frontier).
+    /// materialised — used by branch-payload reads).
     #[inline]
     fn block_ref(&self, b: u64) -> &TraceBlock {
         let blk = &self.ring[(b % self.ring.len() as u64) as usize];
@@ -375,23 +325,6 @@ mod tests {
         let mut gen = TraceGenerator::new(p, 2, 0);
         for (s, inst) in b.iter().enumerate() {
             assert_eq!(*inst, gen.next_inst(), "seq {s}");
-        }
-    }
-
-    #[test]
-    fn phase_signal_matches_lazy_generation() {
-        let p = spec::profile("mcf").expect("registry profile");
-        let mut store = ThreadTrace::new(p, 3, 0, 512);
-        let mut gen = TraceGenerator::new(p, 3, 0);
-        assert_eq!(store.in_memory_phase(), gen.in_memory_phase());
-        for seq in 0..20_000u64 {
-            let _ = store.packed(seq);
-            gen.next_inst();
-            assert_eq!(
-                store.in_memory_phase(),
-                gen.in_memory_phase(),
-                "phase diverged at seq {seq}"
-            );
         }
     }
 

@@ -8,25 +8,22 @@ use dcra_smt::dcra::Dcra;
 use dcra_smt::isa::{ResourceKind, ThreadId};
 use dcra_smt::policies::Icount;
 use dcra_smt::sim::watch::OccupancyRecorder;
-use dcra_smt::sim::{policy::AnyPolicy, SimConfig, Simulator};
+use dcra_smt::sim::{policy::AnyPolicy, BuildError, SimConfig, Simulator};
 use dcra_smt::workloads::spec;
 
-fn measure(policy: AnyPolicy, label: &str) {
+fn measure(policy: AnyPolicy, label: &str) -> Result<(), BuildError> {
     let benches = ["art", "gzip"];
     let profiles: Vec<_> = benches
         .iter()
         .map(|b| spec::profile(b).expect("built-in profile"))
         .collect();
-    let mut sim = Simulator::new(SimConfig::baseline(2), &profiles, policy, 42);
+    let mut sim = Simulator::try_new(SimConfig::baseline(2), &profiles, policy, 42)?;
     sim.prewarm(400_000);
     sim.run_cycles(30_000);
     sim.reset_stats();
 
     let mut rec = OccupancyRecorder::new(2);
-    for _ in 0..150_000 {
-        sim.step();
-        rec.sample(&sim);
-    }
+    let Ok(()) = sim.run(150_000, &mut rec);
     let report = rec.report();
     let result = sim.result();
 
@@ -42,13 +39,15 @@ fn measure(policy: AnyPolicy, label: &str) {
             report.peak[i][ResourceKind::LsQueue],
         );
     }
+    Ok(())
 }
 
-fn main() {
+fn main() -> Result<(), BuildError> {
     println!("art (memory-bound) + gzip (high ILP) on the baseline machine\n");
-    measure(Icount.into(), "ICOUNT — no direct resource control");
-    measure(Dcra::default().into(), "DCRA — usage-capped slow threads");
+    measure(Icount.into(), "ICOUNT — no direct resource control")?;
+    measure(Dcra::default().into(), "DCRA — usage-capped slow threads")?;
     println!("\nUnder ICOUNT the missing thread piles entries up in the shared");
     println!("queues; DCRA bounds it to its computed entitlement and returns the");
     println!("slack to the fast thread.");
+    Ok(())
 }

@@ -9,21 +9,21 @@
 //! Run with: `cargo run --release --example phase_timeline`
 
 use dcra_smt::isa::ThreadId;
-use dcra_smt::sim::{SimConfig, Simulator};
+use dcra_smt::sim::{BuildError, SimConfig, Simulator};
 use dcra_smt::workloads::spec;
 
-fn main() {
+fn main() -> Result<(), BuildError> {
     let benches = ["swim", "gzip"];
     let profiles: Vec<_> = benches
         .iter()
         .map(|b| spec::profile(b).expect("built-in profile"))
         .collect();
-    let mut sim = Simulator::new(
+    let mut sim = Simulator::try_new(
         SimConfig::baseline(2),
         &profiles,
         dcra_smt::dcra::Dcra::default(),
         7,
-    );
+    )?;
     sim.prewarm(300_000);
     sim.run_cycles(20_000);
     sim.reset_stats();
@@ -39,16 +39,16 @@ fn main() {
     let interval = 5_000u64;
     let mut committed_before = 0u64;
     for step in 1..=20u64 {
-        // Sample the phase once per interval plus count slow cycles inside.
+        // Count slow cycles inside the interval: the probe weights each
+        // sample by the cycles it covers, so the run keeps fast-forwarding.
         let mut slow = [0u64; 2];
-        for _ in 0..interval {
-            sim.step();
+        let Ok(()) = sim.run(interval, &mut |sim: &Simulator, cycles| {
             for (t, s) in slow.iter_mut().enumerate() {
                 if sim.thread_l1d_pending(ThreadId::new(t)) > 0 {
-                    *s += 1;
+                    *s += cycles;
                 }
             }
-        }
+        });
         let committed = sim.result().total_committed();
         let ipc = (committed - committed_before) as f64 / interval as f64;
         committed_before = committed;
@@ -78,4 +78,5 @@ fn main() {
             r.threads[i].mlp()
         );
     }
+    Ok(())
 }

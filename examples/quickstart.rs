@@ -5,10 +5,10 @@
 
 use dcra_smt::dcra::Dcra;
 use dcra_smt::isa::ThreadId;
-use dcra_smt::sim::{SimConfig, Simulator};
+use dcra_smt::sim::{BuildError, SimConfig, Simulator};
 use dcra_smt::workloads::spec;
 
-fn main() {
+fn main() -> Result<(), BuildError> {
     // The machine of the paper's Table 2, with two hardware contexts.
     let config = SimConfig::baseline(2);
 
@@ -17,7 +17,7 @@ fn main() {
     let gzip = spec::profile("gzip").expect("built-in profile");
     let mcf = spec::profile("mcf").expect("built-in profile");
 
-    let mut sim = Simulator::new(config, &[gzip, mcf], Dcra::default(), 42);
+    let mut sim = Simulator::try_new(config, &[gzip, mcf], Dcra::default(), 42)?;
 
     // Warm the caches functionally, let the pipeline settle, then measure.
     sim.prewarm(400_000);
@@ -44,4 +44,5 @@ fn main() {
         "branch direction accuracy: {:.1}%",
         (1.0 - sim.predictor().stats().mispredict_rate()) * 100.0
     );
+    Ok(())
 }
